@@ -11,15 +11,14 @@ from .instances import (Instance, RecoveryReport, bin_distances,
                         generate_instance, instance_from_json,
                         instance_to_json, load_instance, positions_to_bins,
                         save_instance, score_recovery)
-from .model import Geometry, LagOperator, forward_direct, gradient_direct
+from .model import Geometry, LagOperator
 from .projections import (capped_simplex_with_multiplier,
                           project_capped_simplex, project_sparse_box)
 from .solver import (BacktrackExhausted, NumericError, SolveResult,
                      SolverConfig, StationarityReport, StopReason,
                      anchor_bins, armijo_step, check_l_stationarity,
                      iht_solve, is_exact_binary_fit, l1pgd_solve,
-                     multi_start, random_support_start,
-                     stationarity_residual)
+                     multi_start, stationarity_residual)
 
 __version__ = "0.1.0"
 
@@ -41,9 +40,7 @@ __all__ = [
     "capped_simplex_with_multiplier",
     "check_l_stationarity",
     "extract_positions",
-    "forward_direct",
     "generate_instance",
-    "gradient_direct",
     "iht_solve",
     "instance_from_json",
     "is_exact_binary_fit",
@@ -54,7 +51,6 @@ __all__ = [
     "positions_to_bins",
     "project_capped_simplex",
     "project_sparse_box",
-    "random_support_start",
     "save_instance",
     "score_recovery",
     "stationarity_residual",

@@ -30,13 +30,11 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--start-policy", choices=["guided", "random"], default=None)
 
 
 def _config_from_args(args, seed: int) -> SolverConfig:
     kwargs = {"seed": seed}
-    for flag in ["restarts", "gamma", "alpha", "delta", "epsilon",
-                 "max_iters", "start_policy"]:
+    for flag in ["restarts", "gamma", "alpha", "delta", "epsilon", "max_iters"]:
         value = getattr(args, flag)
         if value is not None:
             kwargs[flag] = value
@@ -238,10 +236,7 @@ def _config_comments(args, config: SolverConfig, methods) -> list[str]:
         f"methods={','.join(methods)}",
         f"# gamma={config.gamma} alpha={config.alpha} delta={config.delta} "
         f"epsilon={config.epsilon} max_iters={config.max_iters} "
-        f"max_backtracks={config.max_backtracks} restarts={config.restarts} "
-        f"start_policy={config.start_policy} f_stop={config.f_stop} "
-        f"stage_epsilon={config.stage_epsilon} "
-        f"stage_max_iters={config.stage_max_iters}",
+        f"max_backtracks={config.max_backtracks} restarts={config.restarts}",
         "# timing covers the solve call only (generation and scoring excluded)",
     ]
 

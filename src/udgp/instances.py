@@ -304,6 +304,7 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
+    """Parse one record, rejecting any whose histogram no s points make."""
     rec = json.loads(text)
     geometry = Geometry(rec["geometry"])
     n, s = int(rec["n"]), int(rec["s"])
@@ -313,6 +314,14 @@ def instance_from_json(text: str) -> Instance:
         raise ValueError(f"histogram length {y.size} does not match n={n}")
     if pos.shape != (s,):
         raise ValueError(f"position count {pos.size} does not match s={s}")
+    if not 2 <= s <= n:
+        raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
+    if not np.all((y >= 0) & (y == np.floor(y))):
+        raise ValueError("histogram counts must be non-negative integers")
+    pairs = s * (s - 1) // (1 if geometry is Geometry.BELTWAY else 2)
+    if y.sum() != pairs:
+        raise ValueError(f"histogram counts sum to {y.sum():g}, expected "
+                         f"{pairs} for s={s} on the {geometry.value}")
     return Instance(geometry=geometry, n=n, s=s, y=y, true_positions=pos,
                     noise_sigma=float(rec["xi"]), seed=int(rec["seed"]))
 

@@ -12,17 +12,15 @@ objective f(x) = (1/m) * sum_i (y_i(x) - y_i)^2 with m = n-1, and its
 exact gradient.
 
 The shift matrices behind the quadratic form are never materialized; all
-maps are correlation loops.  Each operation has three interchangeable
-evaluation paths:
+maps are correlation loops.  Each operation has two evaluation paths:
 
-* a direct O(n*m) lag loop (`forward_direct`, `gradient_direct`) that
-  serves as the reference,
 * an FFT path for dense x,
 * a pair-enumeration path for sparse x (the hard-thresholded iterates),
   which costs O(nnz^2 + n).
 
-The fast paths agree with the direct path to 1e-10 absolute; the
-dispatching methods on `LagOperator` pick a fast path automatically.
+Both agree to 1e-10 absolute with the direct O(n*m) per-lag reference
+loop, which lives in `tests/oracles.py`; the dispatching methods on
+`LagOperator` pick between them automatically.
 """
 
 from __future__ import annotations
@@ -187,33 +185,3 @@ class LagOperator:
         g = np.bincount(idx, weights=w, minlength=n)
         g *= 2.0 / self.m
         return g
-
-
-def forward_direct(op: LagOperator, x) -> np.ndarray:
-    """Reference forward map: one explicit correlation per lag."""
-    x = op._check_x(x)
-    n = op.n
-    y = np.empty(op.m)
-    for i in range(1, n):
-        if op.circular:
-            y[i - 1] = x @ np.roll(x, -i)
-        else:
-            y[i - 1] = x[:n - i] @ x[i:]
-    return y
-
-
-def gradient_direct(op: LagOperator, x, y) -> np.ndarray:
-    """Reference gradient: accumulates r_i * (shift_i + shift_i^T) x per lag."""
-    x = op._check_x(x)
-    y = op._check_y(y)
-    n = op.n
-    r = forward_direct(op, x) - y
-    g = np.zeros(n)
-    for i in range(1, n):
-        if op.circular:
-            g += r[i - 1] * (np.roll(x, -i) + np.roll(x, i))
-        else:
-            g[:n - i] += r[i - 1] * x[i:]
-            g[i:] += r[i - 1] * x[:n - i]
-    g *= 2.0 / op.m
-    return g

@@ -12,17 +12,17 @@ when the step norm drops to epsilon, the iteration cap is hit, or the
 line search exhausts its budget.
 
 The model is nonconvex and has spurious stationary points (the zero
-vector among them), so `multi_start` runs the solver from randomly seeded
-binary supports and keeps the best objective.  `stationarity_residual`
-and `check_l_stationarity` verify the fixed-point and sign conditions a
-converged iterate must satisfy.
+vector among them), so `multi_start` runs the solver from several starts
+built around an anchored pair of bins and keeps the best objective.
+`stationarity_residual` and `check_l_stationarity` verify the fixed-point
+and sign conditions a converged iterate must satisfy.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -64,12 +64,7 @@ class SolverConfig:
     step-norm stopping tolerance.
 
     The remaining fields drive `multi_start`: restarts is the number of
-    extra starts; start_policy picks how starts are built ("guided" grows
-    the support one point at a time from an anchored pair, "random" uses
-    plain random binary supports); stage_epsilon and stage_max_iters
-    bound the intermediate growth solves of the guided policy; f_stop is
-    the objective level below which a start whose rounded indicator
-    reproduces the histogram exactly ends the restart loop early.
+    extra starts, and seed keys the random draws that vary them.
     """
 
     gamma: float = 0.99
@@ -80,10 +75,6 @@ class SolverConfig:
     max_backtracks: int = 60
     restarts: int = 49
     seed: int = 0
-    start_policy: str = "guided"
-    f_stop: float = 1e-12
-    stage_epsilon: float = 1e-3
-    stage_max_iters: int = 300
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -100,14 +91,6 @@ class SolverConfig:
             raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
         if self.restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
-        if self.start_policy not in ("guided", "random"):
-            raise ValueError(f"unknown start_policy {self.start_policy!r}")
-        if self.f_stop < 0.0:
-            raise ValueError(f"f_stop must be >= 0, got {self.f_stop}")
-        if self.stage_epsilon <= 0.0:
-            raise ValueError(f"stage_epsilon must be positive, got {self.stage_epsilon}")
-        if self.stage_max_iters < 1:
-            raise ValueError(f"stage_max_iters must be >= 1, got {self.stage_max_iters}")
 
 
 @dataclass
@@ -132,7 +115,7 @@ class SolveResult:
         return len(self.step_size_trace)
 
 
-def armijo_step(x, grad, f_x, instance, config, project=None):
+def armijo_step(x, grad, f_x, instance, config, project):
     """Smallest backtracking exponent passing the sufficient-decrease rule.
 
     Tries t = 0, 1, ..., max_backtracks; for each, forms the candidate
@@ -143,9 +126,6 @@ def armijo_step(x, grad, f_x, instance, config, project=None):
     exponent works.
     """
     op, y = instance.op, instance.y
-    if project is None:
-        s = instance.s
-        project = lambda z: project_sparse_box(z, s)
     for t in range(config.max_backtracks + 1):
         tau = config.gamma * config.alpha**t
         x_next = project(x - tau * grad)
@@ -156,6 +136,12 @@ def armijo_step(x, grad, f_x, instance, config, project=None):
     raise BacktrackExhausted(
         f"no backtrack exponent t <= {config.max_backtracks} gave sufficient decrease"
     )
+
+
+def _fixed_point_residual(x, tau, instance, project) -> float:
+    """||x - project(x - tau * grad f(x))||, zero at a fixed point."""
+    g = instance.op.gradient(x, instance.y)
+    return float(np.linalg.norm(x - project(x - tau * g)))
 
 
 def _descend(instance, config, x0, project) -> SolveResult:
@@ -193,7 +179,7 @@ def _descend(instance, config, x0, project) -> SolveResult:
         if final_step <= config.epsilon:
             stop = StopReason.CONVERGED
             break
-    resid = float(np.linalg.norm(x - project(x - last_tau * op.gradient(x, y))))
+    resid = _fixed_point_residual(x, last_tau, instance, project)
     return SolveResult(
         x_final=x,
         objective_trace=np.asarray(obj_trace),
@@ -244,9 +230,13 @@ def stationarity_residual(x, tau: float, instance) -> float:
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    x = np.asarray(x, dtype=float)
-    g = instance.op.gradient(x, instance.y)
-    return float(np.linalg.norm(x - project_sparse_box(x - tau * g, instance.s)))
+    s = instance.s
+    return _fixed_point_residual(np.asarray(x, dtype=float), tau, instance,
+                                 lambda z: project_sparse_box(z, s))
+
+
+_VIOLATION_KINDS = ("interior_grad_nonzero", "upper_bound_grad_positive",
+                    "zero_grad_negative")
 
 
 @dataclass
@@ -254,12 +244,6 @@ class StationarityReport:
     passed: bool
     tol: float
     violations: list = field(default_factory=list)  # (kind, index, gradient value)
-
-    @property
-    def max_violation(self) -> float:
-        if not self.violations:
-            return 0.0
-        return max(abs(v) for _, _, v in self.violations)
 
 
 def check_l_stationarity(x, instance, tol: float = 1e-6) -> StationarityReport:
@@ -273,18 +257,14 @@ def check_l_stationarity(x, instance, tol: float = 1e-6) -> StationarityReport:
     """
     x = np.asarray(x, dtype=float)
     g = instance.op.gradient(x, instance.y)
-    nnz = np.count_nonzero(x)
-    violations = []
-    for p in range(x.size):
-        if 0.0 < x[p] < 1.0:
-            if abs(g[p]) > tol:
-                violations.append(("interior_grad_nonzero", p, float(g[p])))
-        elif x[p] >= 1.0:
-            if g[p] > tol:
-                violations.append(("upper_bound_grad_positive", p, float(g[p])))
-        elif nnz < instance.s:
-            if g[p] < -tol:
-                violations.append(("zero_grad_negative", p, float(g[p])))
+    interior = (x > 0.0) & (x < 1.0)
+    upper = x >= 1.0
+    bad = (interior & (np.abs(g) > tol)) | (upper & (g > tol))
+    if np.count_nonzero(x) < instance.s:
+        bad |= ~(interior | upper) & (g < -tol)
+    kind = np.where(interior, 0, np.where(upper, 1, 2))
+    violations = [(_VIOLATION_KINDS[kind[p]], int(p), float(g[p]))
+                  for p in np.flatnonzero(bad)]
     return StationarityReport(passed=not violations, tol=tol, violations=violations)
 
 
@@ -294,14 +274,6 @@ def _philox(seed: int, start: int, stage: int = 0) -> np.random.Generator:
     key = (((int(seed) & _U64) << 64)
            | ((int(start) & 0xFFFFFFFF) << 32) | (int(stage) & 0xFFFFFFFF))
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def random_support_start(n: int, s: int, seed: int, start_index: int) -> np.ndarray:
-    """Indicator of a random s-subset of bins."""
-    rng = _philox(seed, start_index)
-    x0 = np.zeros(n)
-    x0[rng.choice(n, size=s, replace=False)] = 1.0
-    return x0
 
 
 def is_exact_binary_fit(instance, x) -> bool:
@@ -338,22 +310,16 @@ def anchor_bins(instance, start_index: int = 0) -> tuple[int, ...]:
 
 _ENTRY_CHOICES = 3          # randomized starts pick among this many entry bins
 _POLISH_THRESHOLD = 1e-6    # near-fits below this get a binary-rounding polish
-
-
-@dataclass
-class _Restricted:
-    """Instance view with a reduced sparsity budget for growth stages."""
-    op: object
-    y: np.ndarray
-    s: int
-    n: int
+_F_STOP = 1e-12             # an exact fit at or below this ends the restarts
+_STAGE_EPSILON = 1e-3       # step-norm tolerance of the growth-stage solves
+_STAGE_MAX_ITERS = 300      # iteration cap of the growth-stage solves
 
 
 def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult:
     """One guided start: grow the support point by point, then solve at s.
 
     Begins from the anchored pair and raises the sparsity budget one unit
-    at a time; each stage runs a short, loose solve during which the
+    at a time; each stage runs a short, loose descent during which the
     projection births (at most) one new support coordinate where the
     current residual wants it.  Start 0 lets every stage take its
     greedy-best entry; later starts pick the entering bin among the top
@@ -363,13 +329,9 @@ def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult
     n, s = instance.n, instance.s
     x = np.zeros(n)
     x[list(anchor_bins(instance, start))] = 1.0
-    stage_config = SolverConfig(
-        gamma=config.gamma, alpha=config.alpha, delta=config.delta,
-        epsilon=config.stage_epsilon,
-        max_iters=min(config.stage_max_iters, config.max_iters),
-        max_backtracks=config.max_backtracks)
+    stage_config = replace(config, epsilon=_STAGE_EPSILON,
+                           max_iters=min(_STAGE_MAX_ITERS, config.max_iters))
     for sp in range(2, s):
-        sub = _Restricted(op=instance.op, y=instance.y, s=sp, n=n)
         if start > 0 and np.count_nonzero(x) < sp:
             g = instance.op.gradient(x, instance.y)
             g = np.where(x > 0, np.inf, g)
@@ -378,7 +340,8 @@ def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult
             pick = int(_philox(config.seed, start, sp).integers(0, cand.size))
             x = x.copy()
             x[cand[pick]] = 1.0
-        x = iht_solve(sub, stage_config, x).x_final
+        x = _descend(instance, stage_config, x,
+                     lambda z: project_sparse_box(z, sp)).x_final
     return iht_solve(instance, config, x)
 
 
@@ -398,36 +361,27 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
     """Best-of-several-starts driver for either solver.
 
     Runs config.restarts + 1 starts and returns the result with the
-    lowest final objective (earliest start wins ties).  Under the default
-    "guided" policy, hard-thresholding starts grow the support from the
-    anchored pair (see `_guided_iht_start`) while the baseline starts
-    from the anchored pair plus random fill; under "random" both methods
-    start from plain random binary supports.  A result whose objective
-    is at or below a vanishing level gets its confident mass rounded to
-    an indicator and re-descended; once a start reproduces the histogram
-    exactly, remaining restarts are skipped.  Numeric failures in
-    individual starts are swallowed unless every start fails.
+    lowest final objective (earliest start wins ties).  Hard-thresholding
+    starts grow the support from the anchored pair (see
+    `_guided_iht_start`); the baseline starts from the anchored pair plus
+    a random fill.  A result whose objective is at or below a vanishing
+    level gets its confident mass rounded to an indicator and
+    re-descended; once a start reproduces the histogram exactly,
+    remaining restarts are skipped.  Numeric failures in individual
+    starts are swallowed unless every start fails.
     """
-    if method == "iht":
-        solve = iht_solve
-    elif method == "l1pgd":
-        solve = l1pgd_solve
-    else:
+    if method not in ("iht", "l1pgd"):
         raise ValueError(f"unknown method {method!r}")
-    guided = config.start_policy == "guided"
+    solve = iht_solve if method == "iht" else l1pgd_solve
     best: SolveResult | None = None
     last_error: NumericError | None = None
     for start in range(config.restarts + 1):
         try:
-            if method == "iht" and guided:
+            if method == "iht":
                 result = _guided_iht_start(instance, config, start)
             else:
-                if guided:
-                    x0 = _anchored_support_start(instance, config.seed, start)
-                else:
-                    x0 = random_support_start(instance.n, instance.s,
-                                              config.seed, start)
-                result = solve(instance, config, x0)
+                result = solve(instance, config,
+                               _anchored_support_start(instance, config.seed, start))
             if (result.f_final <= _POLISH_THRESHOLD
                     and not is_exact_binary_fit(instance, result.x_final)):
                 xb = (result.x_final > 0.5).astype(float)
@@ -441,8 +395,7 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
         result.start_index = start
         if best is None or result.f_final < best.f_final:
             best = result
-        if (best.f_final <= config.f_stop
-                and is_exact_binary_fit(instance, best.x_final)):
+        if best.f_final <= _F_STOP and is_exact_binary_fit(instance, best.x_final):
             break
     if best is None:
         assert last_error is not None

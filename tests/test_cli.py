@@ -88,10 +88,17 @@ class TestSolve:
         code = run(["solve", "--in", str(tmp_path / "missing.json"),
                     "--out", str(tmp_path / "res.json")])
         assert code == 3
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run(["solve", "--in", str(bad),
-                    "--out", str(tmp_path / "r.json")]) == 3
+        single = {"geometry": "turnpike", "n": 40, "s": 1, "xi": 0.0,
+                  "seed": 0, "true_positions": [0.5], "y": [0] * 39}
+        counts = {"geometry": "turnpike", "n": 40, "s": 4, "xi": 0.0,
+                  "seed": 0, "true_positions": [0.0, 0.1, 0.3, 0.7],
+                  "y": [-1, 0.5, 0.5] + [0] * 30 + [1] * 6}
+        for i, text in enumerate(["{not json", json.dumps(single),
+                                  json.dumps(counts)]):
+            bad = tmp_path / f"bad{i}.json"
+            bad.write_text(text)
+            assert run(["solve", "--in", str(bad),
+                        "--out", str(tmp_path / "r.json")]) == 3
 
     def test_unknown_method_exits_2(self, instance_file, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -1,5 +1,7 @@
 """Instance generation, binning, extraction, scoring, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,26 @@ class TestSerialization:
         assert instance_to_json(inst) == instance_to_json(inst)
 
     def test_rejects_inconsistent_record(self):
-        inst = generate_instance(Geometry.TURNPIKE, 5, 64, 0.0, 1)
-        text = instance_to_json(inst).replace('"n": 64', '"n": 65')
-        with pytest.raises(ValueError):
-            instance_from_json(text)
+        def resize(rec, s):  # keeps the histogram mass right for s points
+            pairs = s * (s - 1) // (1 if rec["geometry"] == "beltway" else 2)
+            rec.update(s=s, true_positions=[0.0] * s, y=[0] * 62 + [pairs])
+
+        def move(rec, amount):  # trades mass between lag 1 and the fullest lag
+            rec["y"][0] += amount
+            rec["y"][rec["y"].index(max(rec["y"]))] -= amount
+
+        edits = [
+            lambda rec: rec.update(n=65),                   # y length
+            lambda rec: resize(rec, 1),                     # too few points
+            lambda rec: resize(rec, 70),                    # more points than bins
+            lambda rec: move(rec, -1 - rec["y"][0]),        # negative count
+            lambda rec: move(rec, 0.5),                     # fractional count
+            lambda rec: rec["y"].__setitem__(0, rec["y"][0] + 1),  # mass != pairs
+        ]
+        for geometry in Geometry:
+            text = instance_to_json(generate_instance(geometry, 5, 64, 0.0, 1))
+            for edit in edits:
+                rec = json.loads(text)
+                edit(rec)
+                with pytest.raises(ValueError):
+                    instance_from_json(json.dumps(rec))

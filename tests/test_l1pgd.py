@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import random_support_start
 from udgp import (Geometry, SolverConfig, StopReason, armijo_step,
                   extract_positions, generate_instance, l1pgd_solve,
-                  multi_start, project_capped_simplex, random_support_start,
-                  score_recovery)
+                  multi_start, project_capped_simplex, score_recovery)
 
 
 class TestL1pgdSolve:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from udgp import Geometry, LagOperator, forward_direct, gradient_direct
+from oracles import forward_direct, gradient_direct
+from udgp import Geometry, LagOperator
 
 
 def indicator(n, bins):

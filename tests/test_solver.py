@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
+from oracles import check_l_stationarity_loop, random_support_start
 from udgp import (Geometry, NumericError, SolverConfig, StopReason,
                   armijo_step, check_l_stationarity, extract_positions,
                   generate_instance, iht_solve, is_exact_binary_fit,
-                  multi_start, project_sparse_box, random_support_start,
-                  score_recovery, stationarity_residual)
+                  multi_start, project_sparse_box, score_recovery,
+                  stationarity_residual)
 from udgp.instances import Instance
 
 
 def small_instance(geom=Geometry.TURNPIKE, s=3, n=20, seed=0, xi=0.0):
     return generate_instance(geom, s, n, xi, seed)
+
+
+def sparse_box(inst):
+    return lambda z: project_sparse_box(z, inst.s)
 
 
 class TestConfig:
@@ -23,7 +28,6 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(gamma=0.0), dict(gamma=1.0), dict(alpha=1.0), dict(delta=0.0),
         dict(epsilon=-1e-9), dict(max_iters=-1), dict(restarts=-1),
-        dict(start_policy="annealed"), dict(stage_epsilon=0.0),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -35,7 +39,8 @@ class TestArmijoStep:
         inst = small_instance(n=50)
         x = inst.true_indicator()
         grad = inst.op.gradient(x, inst.y)
-        x_next, f_next, tau, t = armijo_step(x, grad, 0.0, inst, SolverConfig())
+        x_next, f_next, tau, t = armijo_step(x, grad, 0.0, inst, SolverConfig(),
+                                            sparse_box(inst))
         assert t == 0 and tau == SolverConfig().gamma
         np.testing.assert_array_equal(x_next, x)
         assert f_next == 0.0
@@ -50,7 +55,8 @@ class TestArmijoStep:
             x = project_sparse_box(rng.uniform(-0.5, 1.5, inst.n), inst.s)
             f_x = inst.op.objective(x, inst.y)
             grad = inst.op.gradient(x, inst.y)
-            x_next, f_next, tau, t = armijo_step(x, grad, f_x, inst, cfg)
+            x_next, f_next, tau, t = armijo_step(x, grad, f_x, inst, cfg,
+                                                 sparse_box(inst))
             scan_t = None
             for tt in range(41):
                 cand = project_sparse_box(x - cfg.gamma * cfg.alpha**tt * grad,
@@ -68,7 +74,7 @@ class TestArmijoStep:
         x = random_support_start(inst.n, inst.s, 5, 0)
         f_x = inst.op.objective(x, inst.y)
         grad = inst.op.gradient(x, inst.y)
-        _, _, tau, t = armijo_step(x, grad, f_x, inst, cfg)
+        _, _, tau, t = armijo_step(x, grad, f_x, inst, cfg, sparse_box(inst))
         assert t == 0 and tau == 1e-6
 
 
@@ -147,7 +153,7 @@ class TestIhtSolve:
         f_x = inst.op.objective(x, inst.y)
         for _ in range(50):
             grad = inst.op.gradient(x, inst.y)
-            x, f_x, _, _ = armijo_step(x, grad, f_x, inst, cfg)
+            x, f_x, _, _ = armijo_step(x, grad, f_x, inst, cfg, sparse_box(inst))
             assert x.min() >= 0 and x.max() <= 1
             assert np.count_nonzero(x) <= inst.s
 
@@ -200,19 +206,32 @@ class TestStationarity:
         assert not report.passed
         assert "interior_grad_nonzero" in kinds
 
+    def test_sign_check_matches_loop_reference(self):
+        """Random iterates mixing interior, upper-bound and zero
+        coordinates, with nnz < s and nnz = s, against perturbed data so
+        every kind of violation occurs."""
+        rng = np.random.default_rng(0)
+        for geom in Geometry:
+            inst = generate_instance(geom, 6, 40, 0.0, 3)
+            kinds = set()
+            for nnz in (2, 4, 6) * 10:
+                x = np.zeros(inst.n)
+                support = rng.choice(inst.n, size=nnz, replace=False)
+                x[support] = rng.choice([0.3, 0.7, 1.0], size=nnz)
+                y = inst.y + rng.integers(-1, 2, size=inst.y.size)
+                data = Instance(geometry=geom, n=inst.n, s=inst.s, y=y,
+                                true_positions=inst.true_positions,
+                                noise_sigma=0.0, seed=0)
+                got = check_l_stationarity(x, data, tol=1e-3)
+                ref = check_l_stationarity_loop(x, data, tol=1e-3)
+                assert got.violations == ref.violations
+                assert got.passed == ref.passed
+                kinds.update(v[0] for v in ref.violations)
+            assert kinds == {"interior_grad_nonzero",
+                             "upper_bound_grad_positive", "zero_grad_negative"}
+
 
 class TestMultiStart:
-    def test_zero_restarts_random_policy_is_single_solve(self):
-        inst = generate_instance(Geometry.TURNPIKE, 5, 60, 0.0, 21)
-        cfg = SolverConfig(restarts=0, seed=13, start_policy="random")
-        got = multi_start(inst, cfg)
-        ref = iht_solve(inst, cfg, random_support_start(inst.n, inst.s, 13, 0))
-        # this seeded start stalls short of the polish threshold, so the
-        # result must be bit-identical to the plain single solve
-        assert ref.f_final > 1e-6
-        np.testing.assert_array_equal(got.x_final, ref.x_final)
-        np.testing.assert_array_equal(got.objective_trace, ref.objective_trace)
-
     def test_deterministic(self):
         inst = generate_instance(Geometry.BELTWAY, 5, 80, 0.0, 2)
         cfg = SolverConfig(restarts=3, seed=5)
