@@ -15,8 +15,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .instances import (Geometry, extract_positions, generate_instance,
-                        load_instance, save_instance, score_recovery)
+from .instances import (Geometry, check_cell, extract_positions,
+                        generate_instance, load_instance, save_instance,
+                        score_recovery)
 from .solver import NumericError, SolverConfig, multi_start
 
 BENCH_SCALES = [(10, 1000), (20, 2000), (30, 4000)]
@@ -146,20 +147,25 @@ def cmd_solve(args) -> int:
 
 
 def _grid_cells(args) -> list[tuple[Geometry, int, int, float]]:
+    """The cells to run; a ValueError names the flag that makes one invalid."""
     if args.grid == "paper":
         scales = BENCH_SCALES
         if args.scales:
-            wanted = set()
-            for part in args.scales.split(","):
-                s_str, n_str = part.split(":")
-                wanted.add((int(s_str), int(n_str)))
-            scales = [sn for sn in BENCH_SCALES if sn in wanted]
+            wanted = {part.strip() for part in args.scales.split(",")}
+            scales = [(s, n) for s, n in BENCH_SCALES if f"{s}:{n}" in wanted]
+            if len(scales) < len(wanted):
+                raise ValueError(f"--scales {args.scales!r}: expected s:n pairs "
+                                 "from 10:1000, 20:2000, 30:4000")
         return [(geom, s, n, xi)
                 for geom in (Geometry.TURNPIKE, Geometry.BELTWAY)
                 for (s, n) in scales
                 for xi in BENCH_NOISE]
     if args.geometry is None or args.s is None or args.n is None:
         raise ValueError("custom grid needs --geometry, --s and --n")
+    try:
+        check_cell(args.s, args.n, args.xi)
+    except ValueError as err:
+        raise ValueError(f"--s {args.s} --n {args.n} --xi {args.xi:g}: {err}") from None
     return [(Geometry(args.geometry), args.s, args.n, args.xi)]
 
 

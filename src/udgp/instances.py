@@ -10,9 +10,9 @@ of pairs.
 
 Recovery is scored against the known positions after factoring out the
 symmetries the histogram cannot see: translation and reflection on the
-segment, rotation and reflection on the circle.  A point counts as
-recovered when its matched estimate lies within half the minimum
-ground-truth gap.
+segment, rotation and reflection on the circle.  A true point counts as
+recovered when some estimate lies strictly within half the minimum true
+gap of it in bins, under the best of those symmetries found exactly.
 """
 
 from __future__ import annotations
@@ -63,6 +63,16 @@ def bins_to_positions(bins, n: int, geometry: Geometry) -> np.ndarray:
     return b / (n - 1) if geometry is Geometry.TURNPIKE else b / n
 
 
+def check_cell(s: int, n: int, xi: float) -> None:
+    """Raise ValueError unless s points fit an n-bin grid at noise xi."""
+    if s < 2:
+        raise ValueError(f"need at least 2 points, got s={s}")
+    if n < 2 * s:
+        raise ValueError(f"grid too coarse: need n >= 2s, got n={n}, s={s}")
+    if xi < 0.0:
+        raise ValueError(f"noise level must be nonnegative, got {xi}")
+
+
 def generate_instance(geometry: Geometry, s: int, n: int, xi: float,
                       seed: int) -> Instance:
     """Sample an instance: positions, pairwise distances, noise, histogram.
@@ -73,12 +83,7 @@ def generate_instance(geometry: Geometry, s: int, n: int, xi: float,
     minor arc on the circle) get i.i.d. N(0, xi^2) noise and are binned to
     the nearest lag.
     """
-    if s < 2:
-        raise ValueError(f"need at least 2 points, got s={s}")
-    if n < 2 * s:
-        raise ValueError(f"grid too coarse: need n >= 2s, got n={n}, s={s}")
-    if xi < 0.0:
-        raise ValueError(f"noise level must be nonnegative, got {xi}")
+    check_cell(s, n, xi)
     rng = np.random.default_rng(seed)
     used: set[int] = set()
     while len(used) < s:
@@ -183,105 +188,76 @@ class RecoveryReport:
     threshold: float
 
 
-def _greedy_match_count(true_pos: np.ndarray, est: np.ndarray,
-                        threshold: float, circular: bool) -> int:
-    """Greedy nearest matching, smallest distances first; count the hits.
-
-    Matching globally by ascending distance keeps one missing estimate
-    from stealing a later point's exact partner, which a fixed
-    per-true-point order would allow.
-    """
-    if est.size == 0:
-        return 0
-    d = np.abs(true_pos[:, None] - est[None, :])
-    if circular:
-        d = np.minimum(d, 1.0 - d)
-    order = np.argsort(d, axis=None, kind="stable")
-    true_free = np.ones(true_pos.size, dtype=bool)
-    est_free = np.ones(est.size, dtype=bool)
-    hits = 0
-    for flat in order:
-        i, j = divmod(int(flat), est.size)
-        if d[i, j] >= threshold:
-            break
-        if true_free[i] and est_free[j]:
-            true_free[i] = False
-            est_free[j] = False
-            hits += 1
-    return hits
-
-
-def _min_gap(true_pos: np.ndarray, circular: bool) -> float:
-    gaps = np.diff(true_pos)
-    if circular:
-        gaps = np.append(gaps, 1.0 - (true_pos[-1] - true_pos[0]))
-    return float(gaps.min())
+def _covered(true: np.ndarray, base: np.ndarray, shifts: np.ndarray,
+             thr: float, period: int | None) -> np.ndarray:
+    """Per shift, the true bins with an estimate in sorted `base` strictly
+    within thr; on the circle (`period` n) base lies in [0, n)."""
+    q = true[None, :] - shifts[:, None]  # where each true bin needs an estimate
+    if period is None:
+        pad = np.concatenate([[-np.inf], base, [np.inf]])
+    else:
+        q %= period
+        pad = np.concatenate([[base[-1] - period], base, [base[0] + period]])
+    k = np.searchsorted(pad, q)
+    nearest = np.minimum(q - pad[k - 1], pad[k] - q)
+    return (nearest < thr).sum(axis=1)
 
 
 def score_recovery(estimated, instance: Instance) -> RecoveryReport:
     """Count correctly recovered points, best over unobservable symmetries.
 
-    The histogram determines the configuration only up to translation and
-    reflection on the segment, and up to rotation and reflection on the
-    circle, so candidate alignments of the estimate are tried and the best
-    greedy match is reported.  Segment candidates are identity and
-    reflection about the estimate's midpoint, each optionally translated
-    to align centroids; circle candidates are all grid rotations times
-    two reflections (rotations that cannot bring any pair within
-    threshold are skipped, which cannot change the maximum).  Ties prefer
-    identity, then reflection, then the smaller shift.
+    Co.P is the exact maximum, over the estimate and its reflection and
+    over every real translation (segment) or rotation (circle), of the
+    number of true points with an estimate strictly within the threshold:
+    half the minimum true gap, in bins (positions times n-1 on the segment,
+    n on the circle), so an estimate exactly that far away does not count.
+    No estimate is within it of two true points, so the count is already a
+    maximum one-to-one matching.  The count changes only at the shifts
+    t - e +/- threshold, so shift 0 and one shift inside each stretch
+    between them give the exact maximum.  The old scorer's candidates (0
+    and the centroid-aligned shift on the segment, grid rotations on the
+    circle) are such shifts, so Co.P can only have risen, where they
+    missed an alignment (or fallen where their position-unit rounding
+    counted an estimate exactly at the threshold).  Ties prefer identity,
+    then reflection (about the estimate's midpoint on the segment, about 0
+    on the circle), then the shift nearest 0 the short way round.  `shift`
+    and `threshold` are in position units.
     """
     est = np.sort(np.asarray(estimated, dtype=float).ravel())
-    true_pos = instance.true_positions
-    threshold = 0.5 * _min_gap(true_pos, instance.geometry is Geometry.BELTWAY)
-    report = RecoveryReport(estimated_positions=est, co_p=0,
-                            alignment="identity", shift=0.0,
-                            threshold=threshold)
+    n, circular = instance.n, instance.geometry is Geometry.BELTWAY
+    scale = n if circular else n - 1
+    true = np.sort(instance.true_bins()).astype(float)
+    gaps = np.diff(true, append=true[0] + n if circular else np.inf)
+    thr = 0.5 * float(gaps.min())
+    report = RecoveryReport(est, 0, "identity", 0.0, thr / scale)
     if est.size == 0:
         return report
 
-    if instance.geometry is Geometry.TURNPIKE:
-        bases = [("", est), ("reflected", (est.min() + est.max()) - est)]
-        best = (-1, 0, 0.0, "")
-        for kind_idx, (kind, base) in enumerate(bases):
-            shifts = [0.0, float(true_pos.mean() - base.mean())]
-            for shift in shifts:
-                cop = _greedy_match_count(true_pos, base + shift, threshold, False)
-                key = (cop, -kind_idx, -abs(shift))
-                if key > (best[0], -best[1], -abs(best[2])):
-                    best = (cop, kind_idx, shift, kind)
-        cop, kind_idx, shift, kind = best
-        if abs(shift) < 1e-15:
-            report.alignment = "reflected" if kind else "identity"
-            report.shift = 0.0
-        else:
-            report.alignment = "shifted_reflected" if kind else "shifted"
-            report.shift = shift
+    # positions of grid bins are bin / scale; rounding the product undoes
+    # that division's error, so equal distances compare equal in bins
+    bins = np.round(est * scale, 9)
+    if circular:
+        bins %= n
+        bases = [np.sort(bins), np.sort(-bins % n)]
     else:
-        n = instance.n
-        radius = min(int(np.ceil(threshold * n)) + 1, n // 2)
-        best = (-1, 0, 0)
-        for kind_idx, base in enumerate([est, np.sort((-est) % 1.0)]):
-            # rotations that can align at least one (true, estimate) pair
-            marked = np.zeros(n, dtype=bool)
-            marked[0] = True
-            centers = np.rint(((true_pos[:, None] - base[None, :]) % 1.0) * n)
-            ks = (centers.astype(int).ravel()[:, None]
-                  + np.arange(-radius, radius + 1)[None, :]) % n
-            marked[ks.ravel()] = True
-            for k in np.flatnonzero(marked):
-                cand = (base + k / n) % 1.0
-                cop = _greedy_match_count(true_pos, cand, threshold, True)
-                if (cop, -kind_idx, -k) > (best[0], -best[1], -best[2]):
-                    best = (cop, kind_idx, int(k))
-        cop, kind_idx, k = best
-        if k == 0:
-            report.alignment = "reflected" if kind_idx else "identity"
-            report.shift = 0.0
-        else:
-            report.alignment = "shifted_reflected" if kind_idx else "shifted"
-            report.shift = k / n
-    report.co_p = int(cop)
+        bases = [bins, np.sort(bins.min() + bins.max() - bins)]
+    for reflected, base in enumerate(bases):
+        ends = (true[:, None] - base[None, :]).ravel()
+        ends = np.concatenate([ends - thr, ends + thr])
+        ends = np.sort(ends % n if circular else ends)
+        mids = ((ends[:-1] + ends[1:]) / 2)[np.diff(ends) > 0]
+        if circular:  # and the stretch that wraps past n
+            mids = np.append(mids, (ends[-1] + ends[0] + n) / 2 % n)
+        shifts = np.concatenate([[0.0], mids])
+        counts = _covered(true, base, shifts, thr, n if circular else None)
+        dist = np.minimum(shifts, n - shifts) if circular else np.abs(shifts)
+        i = np.argmin(np.where(counts == counts.max(), dist, np.inf))
+        if counts[i] > report.co_p:
+            moved = bool(dist[i] > 0)
+            report.co_p = int(counts[i])
+            report.alignment = ("identity", "reflected", "shifted",
+                                "shifted_reflected")[2 * moved + reflected]
+            report.shift = float(shifts[i]) / scale if moved else 0.0
     return report
 
 
@@ -304,7 +280,9 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    """Parse one record, rejecting any whose histogram no s points make."""
+    """Parse one record, rejecting any whose histogram no s points make or
+    whose true positions are not s distinct grid bins of the unit segment
+    or circle."""
     rec = json.loads(text)
     geometry = Geometry(rec["geometry"])
     n, s = int(rec["n"]), int(rec["s"])
@@ -322,6 +300,12 @@ def instance_from_json(text: str) -> Instance:
     if y.sum() != pairs:
         raise ValueError(f"histogram counts sum to {y.sum():g}, expected "
                          f"{pairs} for s={s} on the {geometry.value}")
+    # [0, 1] on the segment, [0, 1) on the circle; NaN fails every test
+    on_unit = (pos >= 0.0) & ((pos <= 1.0) if geometry is Geometry.TURNPIKE
+                              else (pos < 1.0))
+    if not on_unit.all() or np.unique(positions_to_bins(pos, n, geometry)).size < s:
+        raise ValueError("true positions must lie in distinct grid bins of "
+                         "the unit segment or circle")
     return Instance(geometry=geometry, n=n, s=s, y=y, true_positions=pos,
                     noise_sigma=float(rec["xi"]), seed=int(rec["seed"]))
 

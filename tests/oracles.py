@@ -67,3 +67,43 @@ def random_support_start(n: int, s: int, seed: int, start_index: int) -> np.ndar
     x0 = np.zeros(n)
     x0[rng.choice(n, size=s, replace=False)] = 1.0
     return x0
+
+
+def aligned_count(true_bins, est_bins, shifts, n: int, circular: bool) -> np.ndarray:
+    """Per shift, how many true bins have a shifted estimate strictly within
+    half the minimum true gap (all in bin units, circular on the circle)."""
+    t = np.sort(np.asarray(true_bins, dtype=float))
+    gaps = np.diff(t, append=t[0] + n) if circular else np.diff(t)
+    e = np.asarray(est_bins, dtype=float)
+    c = np.asarray(shifts, dtype=float)
+    d = np.abs(t[None, :, None] - e[None, None, :] - c[:, None, None])
+    if circular:
+        d %= n
+        d = np.minimum(d, n - d)
+    return (d < 0.5 * gaps.min()).any(axis=2).sum(axis=1)
+
+
+def brute_force_co_p(true_bins, est_bins, n: int, circular: bool) -> int:
+    """Reference Co.P for integer estimate bins: every shift on a quarter-bin
+    grid, for the estimate and its reflection.
+
+    With integer bins and a threshold that is a multiple of half a bin,
+    every point where the count can change, t - e +/- threshold, is a
+    multiple of half a bin, so each stretch between two of them holds a
+    multiple of a quarter bin.  Integer shifts alone are not enough: when
+    the threshold is a whole number of bins the best alignment can lie
+    strictly between two of them.
+    """
+    t = np.asarray(true_bins, dtype=float)
+    e = np.asarray(est_bins, dtype=float)
+    if e.size == 0:
+        return 0
+    best = 0
+    for base in (e, -e):
+        if circular:
+            shifts = np.arange(0.0, n, 0.25)
+        else:
+            lo = np.floor(t.min() - base.max()) - n
+            shifts = np.arange(lo, t.max() - base.min() + n, 0.25)
+        best = max(best, int(aligned_count(t, base, shifts, n, circular).max()))
+    return best

@@ -93,8 +93,12 @@ class TestSolve:
         counts = {"geometry": "turnpike", "n": 40, "s": 4, "xi": 0.0,
                   "seed": 0, "true_positions": [0.0, 0.1, 0.3, 0.7],
                   "y": [-1, 0.5, 0.5] + [0] * 30 + [1] * 6}
+        off_segment = dict(counts, true_positions=[-3.0, 0.5, 7.0, 0.2],
+                           y=[0] * 33 + [1] * 6)
+        shared_bin = dict(off_segment, true_positions=[0.0, 0.1, 0.1, 0.7])
         for i, text in enumerate(["{not json", json.dumps(single),
-                                  json.dumps(counts)]):
+                                  json.dumps(counts), json.dumps(off_segment),
+                                  json.dumps(shared_bin)]):
             bad = tmp_path / f"bad{i}.json"
             bad.write_text(text)
             assert run(["solve", "--in", str(bad),
@@ -142,6 +146,23 @@ class TestBench:
         code = run(["bench", "--grid", "custom", "--trials", "1",
                     "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--grid", "custom", "--geometry", "turnpike", "--s", "10",
+          "--n", "15"], "--n"),
+        (["--grid", "custom", "--geometry", "turnpike", "--s", "1",
+          "--n", "40"], "--s"),
+        (["--grid", "custom", "--geometry", "beltway", "--s", "4",
+          "--n", "40", "--xi", "-0.001"], "--xi"),
+        (["--scales", "10-1000"], "--scales"),
+        (["--scales", "10:999"], "--scales"),
+    ])
+    def test_invalid_cell_exits_2_before_solving(self, flags, named,
+                                                  tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["bench", "--trials", "1", *flags, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trial_records_reproduce(self, tmp_path):
         outs = []

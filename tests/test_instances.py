@@ -5,9 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from udgp import (Geometry, bin_distances, bins_to_positions,
-                  extract_positions, generate_instance, instance_from_json,
-                  instance_to_json, positions_to_bins, score_recovery)
+from oracles import aligned_count, brute_force_co_p
+
+from udgp import (Geometry, Instance, LagOperator, bin_distances,
+                  bins_to_positions, extract_positions, generate_instance,
+                  instance_from_json, instance_to_json, positions_to_bins,
+                  score_recovery)
+
+
+def instance_at(geometry, n, bins):
+    """A noise-free instance whose true points sit at the given bins."""
+    x = np.zeros(n)
+    x[bins] = 1.0
+    return Instance(geometry, n, len(bins), LagOperator(n, geometry).forward(x),
+                    bins_to_positions(bins, n, geometry), 0.0, 0)
 
 
 class TestBinDistances:
@@ -159,12 +170,123 @@ class TestScoreRecovery:
         inst = generate_instance(Geometry.TURNPIKE, 6, 80, 0.0, 0)
         t = inst.true_positions
         thr = score_recovery(t, inst).threshold
-        # zero-sum directions (so centroid alignment is a no-op) that keep
-        # every perturbed point at least one threshold from every true one
+        # every perturbed point sits at least one threshold from every true
+        # one, yet a reflection plus a one-bin shift brings four of the six
+        # back within it
         signs = np.array([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
         off = np.sort(t + 1.2 * thr * signs)
         assert np.abs(off[:, None] - t[None, :]).min() >= thr
-        assert score_recovery(off, inst).co_p == 0
+        assert score_recovery(off, inst).co_p == 4
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_partial_estimates_match_brute_force(self, geometry):
+        """Bin-valued estimates with 1-3 wrong points, moved by a random
+        symmetry: Co.P is the exhaustive maximum, and the reported
+        alignment reproduces it."""
+        rng = np.random.default_rng(4)
+        circular = geometry is Geometry.BELTWAY
+        for seed in range(120):
+            s = int(rng.integers(4, 9))
+            n = int(rng.integers(4 * s, 120))
+            scale = n if circular else n - 1
+            inst = generate_instance(geometry, s, n, 0.0, seed)
+            true = inst.true_bins()
+            wrong = int(rng.integers(1, 4))
+            est = true.copy()
+            est[rng.choice(s, wrong, replace=False)] = rng.choice(
+                np.setdiff1d(np.arange(n), true), wrong, replace=False)
+            if rng.integers(2):
+                est = (-est) % n if circular else (n - 1) - est
+            if circular:
+                est = (est + rng.integers(n)) % n
+            else:
+                est = est + rng.integers(-est.min(), n - est.max())
+            rep = score_recovery(est / scale, inst)
+            assert rep.co_p == brute_force_co_p(true, est, n, circular)
+            assert rep.co_p >= s - wrong
+            if rep.alignment.endswith("reflected"):
+                est = (-est) % n if circular else est.min() + est.max() - est
+            shift = rep.shift * scale
+            assert aligned_count(true, est, [shift], n, circular)[0] == rep.co_p
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_fractional_estimates_reach_old_candidates(self, geometry):
+        """Centroid-like estimates score at least what shift 0 and the old
+        scorer's candidates (centroid alignment on the segment, every
+        grid rotation on the circle) give."""
+        rng = np.random.default_rng(5)
+        circular = geometry is Geometry.BELTWAY
+        for seed in range(100):
+            s = int(rng.integers(4, 9))
+            n = int(rng.integers(4 * s, 120))
+            scale = n if circular else n - 1
+            inst = generate_instance(geometry, s, n, 0.0, seed)
+            true = inst.true_bins()
+            thr = score_recovery(inst.true_positions, inst).threshold * scale
+            est = true + rng.uniform(-1.5, 1.5, s) * thr
+            wrong = rng.choice(s, int(rng.integers(1, 4)), replace=False)
+            est[wrong] = rng.uniform(0, n - 1, wrong.size)
+            if circular:
+                est %= n
+            score = score_recovery(est / scale, inst).co_p
+            for base in (est, (-est) % n if circular else est.min() + est.max() - est):
+                if circular:
+                    shifts = np.arange(n)
+                else:
+                    shifts = [0.0, true.mean() - base.mean()]
+                assert score >= aligned_count(true, base, shifts, n, circular).max()
+
+    def test_missed_translation(self):
+        """Eight right points shifted by 23 bins: the centroid shortcut
+        scored this estimate 2."""
+        inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 131)
+        est = np.array([105, 172, 555, 624, 657, 669, 903, 915])
+        rep = score_recovery(est / 999, inst)
+        assert rep.co_p == 8 == brute_force_co_p(inst.true_bins(), est, 1000, False)
+        assert rep.alignment == "shifted" and round(rep.shift * 999) == -23
+
+    def test_beltway_exact_threshold_not_counted(self):
+        """A point moved exactly the threshold (5 bins) counts only where a
+        rotation brings it strictly within: one such point does, two moved
+        in opposite directions cannot both."""
+        inst = generate_instance(Geometry.BELTWAY, 10, 1000, 0.0, 90000)
+        true = inst.true_bins()
+        est = true.copy()
+        est[2] += 5
+        rep = score_recovery(est / 1000, inst)
+        assert rep.threshold * 1000 == 5
+        assert rep.co_p == 10 and rep.shift * 1000 == 997.5
+        est[0] -= 5
+        assert score_recovery(est / 1000, inst).co_p == 9
+        assert brute_force_co_p(true, est, 1000, True) == 9
+
+    def test_exact_threshold_survives_position_round_trip(self):
+        """125/999*999 and 252/999*999 land 1e-14 bins inside the 6-bin
+        threshold of 131 and 246; Co.P compares the bins they stand for."""
+        inst = instance_at(Geometry.TURNPIKE, 1000, [0, 131, 246, 400, 412, 999])
+        est = np.array([0, 125, 252, 400, 412, 999])
+        assert score_recovery(est / 999, inst).co_p == 5
+        assert brute_force_co_p(inst.true_bins(), est, 1000, False) == 5
+
+    def test_rotation_ties_prefer_nearest_zero(self):
+        """A set that a half turn maps to itself, rotated by 7 bins, fits
+        at rotations 13 and 33; 33 is 7 bins from identity the short way."""
+        inst = instance_at(Geometry.BELTWAY, 40, [0, 4, 20, 24])
+        rep = score_recovery(np.array([7, 11, 27, 31]) / 40, inst)
+        assert rep.co_p == 4 and rep.alignment == "shifted"
+        assert rep.shift * 40 == 33
+
+    def test_alignment_between_integer_shifts(self):
+        """With a whole-bin threshold (9 bins), one point 17 bins off and
+        the rest exact: only a shift of half a bin past 8 fits all five."""
+        inst = generate_instance(Geometry.TURNPIKE, 5, 200, 0.0, 1)
+        true = inst.true_bins()
+        est = true.copy()
+        est[0] -= 17
+        rep = score_recovery(est / 199, inst)
+        assert rep.co_p == 5 and rep.threshold * 199 == 9
+        whole = aligned_count(true, est, np.arange(-199, 200), 200, False)
+        assert whole.max() == 4
 
     def test_empty_estimate(self):
         inst = generate_instance(Geometry.TURNPIKE, 5, 60, 0.0, 2)
@@ -204,6 +326,10 @@ class TestSerialization:
             lambda rec: move(rec, -1 - rec["y"][0]),        # negative count
             lambda rec: move(rec, 0.5),                     # fractional count
             lambda rec: rec["y"].__setitem__(0, rec["y"][0] + 1),  # mass != pairs
+            lambda rec: rec["true_positions"].__setitem__(1, rec["true_positions"][0]),
+            lambda rec: rec["true_positions"].__setitem__(0, float("nan")),
+            lambda rec: rec["true_positions"].__setitem__(0, -0.25),
+            lambda rec: rec["true_positions"].__setitem__(4, 1.5),
         ]
         for geometry in Geometry:
             text = instance_to_json(generate_instance(geometry, 5, 64, 0.0, 1))
