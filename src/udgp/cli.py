@@ -18,7 +18,8 @@ from . import __version__
 from .instances import (Geometry, check_cell, extract_positions,
                         generate_instance, load_instance, save_instance,
                         score_recovery)
-from .solver import NumericError, SolverConfig, multi_start
+from .solver import (NumericError, SolverConfig, is_exact_binary_fit,
+                     multi_start)
 
 BENCH_SCALES = [(10, 1000), (20, 2000), (30, 4000)]
 BENCH_NOISE = [0.0, 1e-5, 3e-5, 5e-5, 7e-5]
@@ -132,6 +133,7 @@ def cmd_solve(args) -> int:
         "iterations": result.iterations,
         "wall_time_seconds": solve_seconds,
         "stop_reason": result.stop_reason.value,
+        "exact_fit": is_exact_binary_fit(instance, result.x_final),
         "estimated_positions": [float(v) for v in report.estimated_positions],
         "stationarity_residual": result.stationarity_residual,
         "alignment": report.alignment,
@@ -205,6 +207,7 @@ def cmd_bench(args) -> int:
                     report.co_p, f"{solve_seconds:.6f}",
                     f"{result.f_final:.6e}", result.iterations,
                     result.stop_reason.value,
+                    str(is_exact_binary_fit(instance, result.x_final)).lower(),
                 ])
             if args.trials > 0:
                 per_method[method] = (float(np.mean(cops)), float(np.mean(times)))
@@ -223,7 +226,8 @@ def cmd_bench(args) -> int:
     header = ["geometry", "s", "n", "xi", "method", "mean_co_p", "mean_time_s",
               "trials", "time_ratio_iht_vs_l1pgd"]
     trial_header = ["geometry", "s", "n", "xi", "method", "trial", "seed",
-                    "co_p", "time_s", "f_final", "iterations", "stop_reason"]
+                    "co_p", "time_s", "f_final", "iterations", "stop_reason",
+                    "exact_fit"]
     comments = _config_comments(args, base_config, methods)
     _write_csv(args.out, comments, header, mean_rows)
     _write_csv(_trials_path(args.out), comments, trial_header, trial_rows)

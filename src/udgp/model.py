@@ -14,13 +14,21 @@ exact gradient.
 The shift matrices behind the quadratic form are never materialized; all
 maps are correlation loops.  Each operation has two evaluation paths:
 
-* an FFT path for dense x,
-* a pair-enumeration path for sparse x (the hard-thresholded iterates),
-  which costs O(nnz^2 + n).
+* a pair-enumeration path, which costs O(nnz^2 + n) for the forward map
+  and O(nnz(x) * nnz(r)) for the gradient,
+* an FFT path, which costs O(n log n) whatever the density.
 
-Both agree to 1e-10 absolute with the direct O(n*m) per-lag reference
-loop, which lives in `tests/oracles.py`; the dispatching methods on
-`LagOperator` pick between them automatically.
+The dispatching methods on `LagOperator` pick between them by support
+size alone: pairs while nnz(x)^2 is within `_sparse_budget`, FFT beyond
+it.  At the published sizes (s <= 30) every hard-thresholded iterate
+takes the pair path, and so do the late iterates of the l1 baseline,
+whose mass concentrates on a few dozen bins.  Both paths agree to 1e-10 absolute with the direct O(n*m) per-lag
+reference loop, which lives in `tests/oracles.py`.
+
+A solver that has just evaluated an iterate keeps what `evaluate` hands
+back -- the objective, the residual r = forward(x) - y and the support --
+and passes r and the support to `gradient`, which then runs neither a
+forward pass nor a support scan of its own.
 """
 
 from __future__ import annotations
@@ -103,32 +111,51 @@ class LagOperator:
             raise ValueError(f"y has shape {y.shape}, expected ({self.m},)")
         return y
 
-    def forward(self, x) -> np.ndarray:
-        """Per-lag pair-count histogram of x, length m."""
-        x = self._check_x(x)
-        support = np.flatnonzero(x)
-        if support.size * support.size <= self._sparse_budget:
+    def _pairs(self, support: np.ndarray) -> bool:
+        """Whether a support this size takes the pair-enumeration path."""
+        return support.size * support.size <= self._sparse_budget
+
+    def _forward(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
+        if self._pairs(support):
             return self._forward_sparse(x, support)
         return self._forward_fft(x)
 
+    def forward(self, x) -> np.ndarray:
+        """Per-lag pair-count histogram of x, length m."""
+        x = self._check_x(x)
+        return self._forward(x, np.flatnonzero(x))
+
+    def evaluate(self, x, y) -> tuple[float, np.ndarray, np.ndarray]:
+        """(objective, residual r = forward(x) - y, support of x) in one pass.
+
+        The last two are what `gradient` at the same x can take as given.
+        """
+        x = self._check_x(x)
+        support = np.flatnonzero(x)
+        r = self._forward(x, support) - self._check_y(y)
+        return float(r @ r) / self.m, r, support
+
     def objective(self, x, y) -> float:
         """Mean squared histogram misfit, (1/m) * ||forward(x) - y||^2."""
-        r = self.forward(x) - self._check_y(y)
-        return float(r @ r) / self.m
+        return self.evaluate(x, y)[0]
 
-    def gradient(self, x, y) -> np.ndarray:
+    def gradient(self, x, y, r=None, support=None) -> np.ndarray:
         """Exact gradient of `objective` with respect to x.
 
         Equals (2/m) * sum_i r_i * (shift_i + shift_i^T) x with
         r = forward(x) - y, evaluated as two correlation passes over the
-        residual.
+        residual.  A caller that already holds r and the support
+        flatnonzero(x) of this same x (from `evaluate`) may pass them; the
+        result is bit-identical and skips the forward pass and the scan.
         """
         x = self._check_x(x)
-        y = self._check_y(y)
-        support = np.flatnonzero(x)
-        if support.size * support.size <= self._sparse_budget:
-            return self._gradient_sparse(x, y, support)
-        return self._gradient_fft(x, y)
+        if r is None:
+            y = self._check_y(y)
+        if support is None:
+            support = np.flatnonzero(x)
+        if self._pairs(support):
+            return self._gradient_sparse(x, y, support, r)
+        return self._gradient_fft(x, y, r)
 
     # ---- FFT path ----
 
@@ -138,9 +165,11 @@ class LagOperator:
         acorr = np.fft.irfft(X.real**2 + X.imag**2, L)
         return acorr[1:self.n].copy()
 
-    def _gradient_fft(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _gradient_fft(self, x: np.ndarray, y: np.ndarray,
+                      r: np.ndarray | None = None) -> np.ndarray:
         n, L = self.n, self._fft_len
-        r = self._forward_fft(x) - y
+        if r is None:
+            r = self._forward_fft(x) - y
         c = np.zeros(L)
         if self.circular:
             c[1:n] = r + r[::-1]
@@ -164,24 +193,27 @@ class LagOperator:
             w = np.concatenate([w, w])
         return np.bincount(lags - 1, weights=w, minlength=self.m)
 
-    def _gradient_sparse(self, x: np.ndarray, y: np.ndarray,
-                         support: np.ndarray) -> np.ndarray:
+    def _gradient_sparse(self, x: np.ndarray, y: np.ndarray, support: np.ndarray,
+                         r: np.ndarray | None = None) -> np.ndarray:
         n = self.n
-        r = self._forward_sparse(x, support) - y
+        if r is None:
+            r = self._forward_sparse(x, support) - y
         ri = np.flatnonzero(r)
         if ri.size == 0 or support.size == 0:
             return np.zeros(n)
         lag = ri + 1
         w = (x[support][:, None] * r[ri][None, :]).ravel()
-        lo = (support[:, None] - lag[None, :]).ravel()
-        hi = (support[:, None] + lag[None, :]).ravel()
+        w = np.concatenate([w, w])
+        # on the segment the indices u -/+ lag run from -(n-1) to 2n-2:
+        # offset them into 3n-2 bins and keep the middle n, which sums each
+        # bin in the same order as dropping the out-of-range entries first
+        base = support if self.circular else support + (n - 1)
+        idx = np.concatenate([(base[:, None] - lag[None, :]).ravel(),
+                              (base[:, None] + lag[None, :]).ravel()])
         if self.circular:
-            idx = np.concatenate([lo % n, hi % n])
-            w = np.concatenate([w, w])
+            idx %= n
+            g = np.bincount(idx, weights=w, minlength=n)
         else:
-            ok_lo, ok_hi = lo >= 0, hi < n
-            idx = np.concatenate([lo[ok_lo], hi[ok_hi]])
-            w = np.concatenate([w[ok_lo], w[ok_hi]])
-        g = np.bincount(idx, weights=w, minlength=n)
+            g = np.bincount(idx, weights=w, minlength=3 * n - 2)[n - 1:2 * n - 1]
         g *= 2.0 / self.m
         return g

@@ -33,13 +33,16 @@ def project_sparse_box(z, s: int) -> np.ndarray:
     if s == n:
         return clipped
     gain = z * z - (z - clipped) ** 2
-    # s-th largest gain; keep everything strictly above it, then fill the
-    # remaining slots with the lowest-index coordinates at that value
+    # s-th largest gain; at least s coordinates reach it, and when exactly s
+    # do they are the top s
     cutoff = np.partition(gain, n - s)[n - s]
-    keep = np.flatnonzero(gain > cutoff)
-    short = s - keep.size
-    if short > 0:
-        keep = np.concatenate([keep, np.flatnonzero(gain == cutoff)[:short]])
+    keep = np.flatnonzero(gain >= cutoff)
+    if keep.size > s:
+        # ties at the cutoff: keep everything strictly above it, then fill
+        # the remaining slots with the lowest-index coordinates at it
+        above = gain[keep] > cutoff
+        at = keep[~above][:s - np.count_nonzero(above)]
+        keep = np.concatenate([keep[above], at])
     x = np.zeros(n)
     x[keep] = clipped[keep]
     return x

@@ -24,6 +24,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,41 +116,65 @@ class SolveResult:
         return len(self.step_size_trace)
 
 
-def armijo_step(x, grad, f_x, instance, config, project):
+class Step(NamedTuple):
+    """An accepted Armijo step and the evaluation of its iterate."""
+
+    x: np.ndarray           # the accepted iterate x_next
+    f: float                # f(x_next)
+    tau: float              # accepted step size gamma * alpha^t
+    t: int                  # accepted backtrack exponent
+    step_sq: float          # ||x - x_next||^2
+    r: np.ndarray           # residual forward(x_next) - y
+    support: np.ndarray     # flatnonzero(x_next)
+
+
+def armijo_step(x, grad, f_x, instance, config, project) -> Step:
     """Smallest backtracking exponent passing the sufficient-decrease rule.
 
     Tries t = 0, 1, ..., max_backtracks; for each, forms the candidate
     project(x - gamma * alpha^t * grad) and accepts the first one whose
     objective drop is at least (delta/2) times the squared step length.
 
-    Returns (x_next, f_next, tau, t).  Raises BacktrackExhausted if no
-    exponent works.
+    Each candidate is evaluated once (`LagOperator.evaluate`), and the
+    accepted one's residual and support come back in the `Step`, so the
+    caller's next `gradient` at x_next needs no forward pass.  Raises
+    BacktrackExhausted if no exponent works.
     """
     op, y = instance.op, instance.y
     for t in range(config.max_backtracks + 1):
         tau = config.gamma * config.alpha**t
         x_next = project(x - tau * grad)
-        f_next = op.objective(x_next, y)
+        f_next, r, support = op.evaluate(x_next, y)
         diff = x - x_next
-        if f_x - f_next >= 0.5 * config.delta * float(diff @ diff):
-            return x_next, f_next, tau, t
+        step_sq = float(diff @ diff)
+        if f_x - f_next >= 0.5 * config.delta * step_sq:
+            return Step(x_next, f_next, tau, t, step_sq, r, support)
     raise BacktrackExhausted(
         f"no backtrack exponent t <= {config.max_backtracks} gave sufficient decrease"
     )
 
 
-def _fixed_point_residual(x, tau, instance, project) -> float:
-    """||x - project(x - tau * grad f(x))||, zero at a fixed point."""
-    g = instance.op.gradient(x, instance.y)
+def _fixed_point_residual(x, tau, instance, project, r=None, support=None) -> float:
+    """||x - project(x - tau * grad f(x))||, zero at a fixed point.
+
+    r and support, if given, are x's residual and support (see
+    `LagOperator.gradient`)."""
+    g = instance.op.gradient(x, instance.y, r, support)
     return float(np.linalg.norm(x - project(x - tau * g)))
 
 
 def _descend(instance, config, x0, project) -> SolveResult:
-    """Shared projected-gradient loop; `project` fixes the feasible set."""
+    """Shared projected-gradient loop; `project` fixes the feasible set.
+
+    x0 is evaluated once; after that each iterate's objective, residual
+    and support come from the Armijo step that accepted it, so every
+    iteration costs one gradient, the projections and one evaluation per
+    candidate tried, and no iterate is evaluated twice.
+    """
     op, y = instance.op, instance.y
     t0 = time.perf_counter()
     x = np.array(x0, dtype=float)
-    f_x = op.objective(x, y)
+    f_x, r, support = op.evaluate(x, y)
     obj_trace = [f_x]
     tau_trace: list[float] = []
     bt_trace: list[int] = []
@@ -162,24 +187,23 @@ def _descend(instance, config, x0, project) -> SolveResult:
             raise NumericError(
                 f"objective became non-finite ({f_x}) at iteration {k}", x, k
             )
-        grad = op.gradient(x, y)
+        grad = op.gradient(x, y, r, support)
         try:
-            x_next, f_next, tau, t = armijo_step(x, grad, f_x, instance, config, project)
+            step = armijo_step(x, grad, f_x, instance, config, project)
         except BacktrackExhausted:
             stop = StopReason.BACKTRACK_EXHAUSTED
             break
-        diff = x - x_next
-        final_step = math.sqrt(float(diff @ diff))
-        x, f_x = x_next, f_next
+        final_step = math.sqrt(step.step_sq)
+        x, f_x, r, support = step.x, step.f, step.r, step.support
         obj_trace.append(f_x)
-        tau_trace.append(tau)
-        bt_trace.append(t)
+        tau_trace.append(step.tau)
+        bt_trace.append(step.t)
         step_trace.append(final_step)
-        last_tau = tau
+        last_tau = step.tau
         if final_step <= config.epsilon:
             stop = StopReason.CONVERGED
             break
-    resid = _fixed_point_residual(x, last_tau, instance, project)
+    resid = _fixed_point_residual(x, last_tau, instance, project, r, support)
     return SolveResult(
         x_final=x,
         objective_trace=np.asarray(obj_trace),

@@ -1,14 +1,18 @@
 """Reference implementations the tests compare the library against.
 
-Each is the plain, loop-by-loop form of a computation the library does a
-faster way: the lag model's forward map and gradient, the L-stationarity
-sign check, and a random binary start.
+Each is the plain form of a computation the library does a faster way:
+the lag model's forward map and gradient, the sparse-box projection's
+two-scan tie rule, the projected-gradient loop that evaluates every
+iterate afresh, the L-stationarity sign check, a random binary start and
+the symmetry-aware recovery count.
 """
+
+import math
 
 import numpy as np
 
 from udgp import LagOperator, StationarityReport
-from udgp.solver import _philox
+from udgp.solver import BacktrackExhausted, SolveResult, StopReason, _philox
 
 
 def forward_direct(op: LagOperator, x) -> np.ndarray:
@@ -39,6 +43,84 @@ def gradient_direct(op: LagOperator, x, y) -> np.ndarray:
             g[i:] += r[i - 1] * x[:n - i]
     g *= 2.0 / op.m
     return g
+
+
+def project_sparse_box_two_scan(z, s: int) -> np.ndarray:
+    """Reference sparse-box projection: keep every gain strictly above the
+    s-th largest, then the lowest-index coordinates at it."""
+    z = np.asarray(z, dtype=float)
+    n = z.size
+    clipped = np.clip(z, 0.0, 1.0)
+    if s == n:
+        return clipped
+    gain = z * z - (z - clipped) ** 2
+    cutoff = np.partition(gain, n - s)[n - s]
+    keep = np.flatnonzero(gain > cutoff)
+    short = s - keep.size
+    if short > 0:
+        keep = np.concatenate([keep, np.flatnonzero(gain == cutoff)[:short]])
+    x = np.zeros(n)
+    x[keep] = clipped[keep]
+    return x
+
+
+def armijo_step_reference(x, grad, f_x, instance, config, project):
+    """Reference Armijo search: each candidate through `objective`.
+
+    Returns (x_next, f_next, tau, t)."""
+    op, y = instance.op, instance.y
+    for t in range(config.max_backtracks + 1):
+        tau = config.gamma * config.alpha**t
+        x_next = project(x - tau * grad)
+        f_next = op.objective(x_next, y)
+        diff = x - x_next
+        if f_x - f_next >= 0.5 * config.delta * float(diff @ diff):
+            return x_next, f_next, tau, t
+    raise BacktrackExhausted("no backtrack exponent gave sufficient decrease")
+
+
+def descend_reference(instance, config, x0, project) -> SolveResult:
+    """Reference projected-gradient loop: every iterate's objective and
+    gradient are computed afresh from x, nothing is carried over."""
+    op, y = instance.op, instance.y
+    x = np.array(x0, dtype=float)
+    f_x = op.objective(x, y)
+    obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
+    stop = StopReason.MAX_ITERS
+    final_step = math.nan
+    last_tau = config.gamma
+    for _ in range(config.max_iters):
+        grad = op.gradient(x, y)
+        try:
+            x_next, f_next, tau, t = armijo_step_reference(
+                x, grad, f_x, instance, config, project)
+        except BacktrackExhausted:
+            stop = StopReason.BACKTRACK_EXHAUSTED
+            break
+        diff = x - x_next
+        final_step = math.sqrt(float(diff @ diff))
+        x, f_x = x_next, f_next
+        obj_trace.append(f_x)
+        tau_trace.append(tau)
+        bt_trace.append(t)
+        step_trace.append(final_step)
+        last_tau = tau
+        if final_step <= config.epsilon:
+            stop = StopReason.CONVERGED
+            break
+    g = op.gradient(x, y)
+    resid = float(np.linalg.norm(x - project(x - last_tau * g)))
+    return SolveResult(
+        x_final=x,
+        objective_trace=np.asarray(obj_trace),
+        step_size_trace=np.asarray(tau_trace),
+        backtrack_trace=np.asarray(bt_trace, dtype=int),
+        step_norm_trace=np.asarray(step_trace),
+        final_step_norm=final_step,
+        stationarity_residual=resid,
+        stop_reason=stop,
+        wall_time_seconds=0.0,
+    )
 
 
 def check_l_stationarity_loop(x, instance, tol: float = 1e-6) -> StationarityReport:

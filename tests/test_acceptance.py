@@ -18,6 +18,7 @@ from udgp import (Geometry, SolverConfig, StopReason,
                   capped_simplex_with_multiplier, check_l_stationarity,
                   extract_positions, generate_instance, multi_start,
                   project_sparse_box, score_recovery)
+from udgp import solver
 from udgp.model import LagOperator
 
 NOISE_GRID = [0.0, 1e-5, 3e-5, 5e-5, 7e-5]
@@ -85,7 +86,7 @@ def test_criterion_03_scaled_grid():
     _report(3, ok, "(20,2000) xi=0; " + "; ".join(details))
 
 
-def test_criterion_04_speed_ordering():
+def test_criterion_04_speed_ordering(monkeypatch):
     cells = [
         (Geometry.TURNPIKE, 10, 1000, 0.0, 5),
         (Geometry.TURNPIKE, 10, 1000, 7e-5, 5),
@@ -93,19 +94,32 @@ def test_criterion_04_speed_ordering():
         (Geometry.BELTWAY, 10, 1000, 7e-5, 5),
         (Geometry.TURNPIKE, 20, 2000, 0.0, 3),
     ]
+    # count Armijo steps (iterations over every start) to explain the times
+    steps = [0]
+    armijo_step = solver.armijo_step
+
+    def counted_armijo_step(*args, **kwargs):
+        steps[0] += 1
+        return armijo_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "armijo_step", counted_armijo_step)
     ok = True
     details = []
     for geometry, s, n, xi, trials in cells:
-        per_method = {}
+        per_method, per_steps = {}, {}
         for method in ("iht", "l1pgd"):
             # matched instances and solver seeds across methods
+            steps[0] = 0
             _, times = _run_cell(geometry, s, n, xi, trials, method=method)
             per_method[method] = float(np.median(times))
+            per_steps[method] = steps[0]
         ratio = per_method["l1pgd"] / per_method["iht"]
         ok = ok and per_method["iht"] < per_method["l1pgd"] and ratio >= 1.3
         details.append(f"{geometry.value} s={s} xi={xi:g}: "
                        f"iht={per_method['iht']:.2f}s "
-                       f"l1pgd={per_method['l1pgd']:.2f}s ({ratio:.1f}x)")
+                       f"l1pgd={per_method['l1pgd']:.2f}s ({ratio:.1f}x; "
+                       f"armijo steps iht={per_steps['iht']} "
+                       f"l1pgd={per_steps['l1pgd']})")
     _report(4, ok, "median solve times; " + "; ".join(details))
 
 

@@ -84,6 +84,17 @@ class TestSolve:
         rec = json.loads(out.read_text())
         assert rec["stop_reason"] == "max_iters"
 
+    def test_record_says_whether_the_answer_fits_exactly(self, instance_file,
+                                                         tmp_path):
+        solved, cut = tmp_path / "solved.json", tmp_path / "cut.json"
+        run(["solve", "--in", str(instance_file), "--seed", "2",
+             "--out", str(solved)])
+        # no iterations: the answer is the anchored pair, 2 of 4 points
+        run(["solve", "--in", str(instance_file), "--max-iters", "0",
+             "--restarts", "0", "--out", str(cut)])
+        assert json.loads(solved.read_text())["exact_fit"] is True
+        assert json.loads(cut.read_text())["exact_fit"] is False
+
     def test_unreadable_instance_exits_3(self, tmp_path):
         code = run(["solve", "--in", str(tmp_path / "missing.json"),
                     "--out", str(tmp_path / "res.json")])
@@ -131,6 +142,18 @@ class TestBench:
         trials = (tmp_path / "bench.csv.trials.csv").read_text().splitlines()
         trial_rows = [l for l in trials if not l.startswith("#")]
         assert len(trial_rows) == 1 + 4  # header + 2 trials x 2 methods
+
+    def test_trials_record_exact_fit(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        for max_iters, fit in (("5000", "true"), ("0", "false")):
+            run(["bench", "--grid", "custom", "--geometry", "beltway",
+                 "--s", "4", "--n", "40", "--trials", "1", "--seed", "7",
+                 "--restarts", "0", "--max-iters", max_iters, "--out", str(out)])
+            rows = [l.split(",") for l in
+                    (tmp_path / "bench.csv.trials.csv").read_text().splitlines()
+                    if not l.startswith("#")]
+            assert rows[0][-1] == "exact_fit"
+            assert [r[-1] for r in rows[1:]] == [fit, fit]
 
     def test_zero_trials_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"

@@ -33,7 +33,7 @@ class TestL1pgdSolve:
         f_x = inst.op.objective(x, inst.y)
         for _ in range(60):
             grad = inst.op.gradient(x, inst.y)
-            x, f_x, _, _ = armijo_step(x, grad, f_x, inst, cfg, project)
+            x, f_x, *_ = armijo_step(x, grad, f_x, inst, cfg, project)
             assert abs(x.sum() - inst.s) <= 1e-8
             assert x.min() >= 0 and x.max() <= 1
 

@@ -163,6 +163,28 @@ class TestGradient:
                         np.testing.assert_allclose(
                             op._gradient_sparse(x, y, support), g_ref, atol=1e-10)
 
+    def test_carried_residual_and_support_are_bit_identical(self):
+        """gradient(x, y, r, support) with the pair from `evaluate` equals
+        gradient(x, y) exactly, on the pair path and the FFT path."""
+        rng = np.random.default_rng(21)
+        for geom in Geometry:
+            op = LagOperator(300, geom)
+            y = rng.integers(0, 3, op.m).astype(float)
+            for nnz, pairs in ((8, True), (40, True), (120, False), (300, False)):
+                x = np.zeros(op.n)
+                x[rng.choice(op.n, nnz, replace=False)] = rng.random(nnz) + 0.01
+                f, r, support = op.evaluate(x, y)
+                assert op._pairs(support) is pairs
+                assert f == op.objective(x, y)
+                np.testing.assert_array_equal(r, op.forward(x) - y)
+                np.testing.assert_array_equal(support, np.flatnonzero(x))
+                g = op.gradient(x, y)
+                np.testing.assert_array_equal(op.gradient(x, y, r, support), g)
+                np.testing.assert_array_equal(op.gradient(x, y, r=r), g)
+                np.testing.assert_array_equal(op.gradient(x, y, support=support), g)
+                # with r given, y is not read
+                np.testing.assert_array_equal(op.gradient(x, None, r, support), g)
+
     def test_dimension_mismatch(self):
         op = LagOperator(5, Geometry.BELTWAY)
         with pytest.raises(ValueError):

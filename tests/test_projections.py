@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from oracles import project_sparse_box_two_scan
 from udgp import (capped_simplex_with_multiplier, project_capped_simplex,
                   project_sparse_box)
 
@@ -72,6 +73,27 @@ class TestSparseBox:
             project_sparse_box([1.0, 2.0], 0)
         with pytest.raises(ValueError):
             project_sparse_box([1.0, 2.0], 3)
+
+
+    def test_single_scan_matches_two_scan_on_ties(self):
+        """Quantized and all-nonpositive inputs tie at the cutoff for most s;
+        the kept set must match the two-scan reference at every s."""
+        rng = np.random.default_rng(8)
+        inputs = []
+        for n in (1, 2, 5, 13, 40):
+            inputs += [rng.integers(-3, 5, n) / 2.0,       # gains 0, 0.25, 1, 2, 3
+                       -rng.integers(0, 3, n).astype(float),  # every gain 0
+                       np.zeros(n), np.ones(n), rng.uniform(-1.0, 2.0, n)]
+        ties = 0
+        for z in inputs:
+            for s in range(1, z.size + 1):
+                got = project_sparse_box(z, s)
+                np.testing.assert_array_equal(got, project_sparse_box_two_scan(z, s))
+                clipped = np.clip(z, 0.0, 1.0)
+                gain = z * z - (z - clipped) ** 2
+                cutoff = np.sort(gain)[z.size - s]
+                ties += int(np.count_nonzero(gain >= cutoff) > s)
+        assert ties > 100   # the tie path ran
 
 
 class TestCappedSimplex:

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from oracles import check_l_stationarity_loop, random_support_start
+from oracles import (check_l_stationarity_loop, descend_reference,
+                     project_sparse_box_two_scan, random_support_start)
 from udgp import (Geometry, NumericError, SolverConfig, StopReason,
                   armijo_step, check_l_stationarity, extract_positions,
                   generate_instance, iht_solve, is_exact_binary_fit,
-                  multi_start, project_sparse_box, score_recovery,
-                  stationarity_residual)
+                  multi_start, project_capped_simplex, project_sparse_box,
+                  score_recovery, stationarity_residual)
 from udgp.instances import Instance
+from udgp.solver import _descend
 
 
 def small_instance(geom=Geometry.TURNPIKE, s=3, n=20, seed=0, xi=0.0):
@@ -39,8 +41,8 @@ class TestArmijoStep:
         inst = small_instance(n=50)
         x = inst.true_indicator()
         grad = inst.op.gradient(x, inst.y)
-        x_next, f_next, tau, t = armijo_step(x, grad, 0.0, inst, SolverConfig(),
-                                            sparse_box(inst))
+        x_next, f_next, tau, t, *_ = armijo_step(x, grad, 0.0, inst, SolverConfig(),
+                                                 sparse_box(inst))
         assert t == 0 and tau == SolverConfig().gamma
         np.testing.assert_array_equal(x_next, x)
         assert f_next == 0.0
@@ -55,8 +57,8 @@ class TestArmijoStep:
             x = project_sparse_box(rng.uniform(-0.5, 1.5, inst.n), inst.s)
             f_x = inst.op.objective(x, inst.y)
             grad = inst.op.gradient(x, inst.y)
-            x_next, f_next, tau, t = armijo_step(x, grad, f_x, inst, cfg,
-                                                 sparse_box(inst))
+            x_next, f_next, tau, t, *_ = armijo_step(x, grad, f_x, inst, cfg,
+                                                     sparse_box(inst))
             scan_t = None
             for tt in range(41):
                 cand = project_sparse_box(x - cfg.gamma * cfg.alpha**tt * grad,
@@ -74,8 +76,93 @@ class TestArmijoStep:
         x = random_support_start(inst.n, inst.s, 5, 0)
         f_x = inst.op.objective(x, inst.y)
         grad = inst.op.gradient(x, inst.y)
-        _, _, tau, t = armijo_step(x, grad, f_x, inst, cfg, sparse_box(inst))
+        _, _, tau, t, *_ = armijo_step(x, grad, f_x, inst, cfg, sparse_box(inst))
         assert t == 0 and tau == 1e-6
+
+
+    def test_accepted_step_carries_its_evaluation(self):
+        """The returned residual, support, objective and squared step length
+        are those of the accepted iterate, bit for bit."""
+        rng = np.random.default_rng(3)
+        for geom in Geometry:
+            inst = small_instance(geom, s=5, n=60, seed=2)
+            cfg = SolverConfig(delta=1.0)
+            for _ in range(10):
+                x = project_sparse_box(rng.uniform(-0.5, 1.5, inst.n), inst.s)
+                f_x = inst.op.objective(x, inst.y)
+                grad = inst.op.gradient(x, inst.y)
+                step = armijo_step(x, grad, f_x, inst, cfg, sparse_box(inst))
+                f, r, support = inst.op.evaluate(step.x, inst.y)
+                assert step.f == f == inst.op.objective(step.x, inst.y)
+                np.testing.assert_array_equal(step.r, r)
+                np.testing.assert_array_equal(step.support, support)
+                assert step.step_sq == float((x - step.x) @ (x - step.x))
+
+
+def _descend_cases():
+    """(label, instance, config, x0, library projection, reference projection)."""
+    cases = []
+    for geom in Geometry:
+        inst = generate_instance(geom, 6, 200, 0.0, 11)
+        s, n = inst.s, inst.n
+        box = (lambda z: project_sparse_box(z, s),
+               lambda z: project_sparse_box_two_scan(z, s))
+        stage = (lambda z: project_sparse_box(z, 4),
+                 lambda z: project_sparse_box_two_scan(z, 4))
+        simplex = (lambda z: project_capped_simplex(z, s),) * 2
+        anchored = np.zeros(n)
+        anchored[[0, int(np.flatnonzero(inst.y).max()) + 1]] = 1.0
+        # dense and uneven: a uniform start is stationary on the circle
+        dense = project_capped_simplex(
+            np.random.default_rng(5).random(n) * 2 * s / n, s)
+        binary = random_support_start(n, s, 2, 0)
+        # delta = 10 rejects the first candidates of every step
+        cases += [
+            (f"{geom.value} box", inst, SolverConfig(), binary, *box),
+            (f"{geom.value} box backtracks", inst,
+             SolverConfig(delta=10.0, max_iters=200), binary, *box),
+            (f"{geom.value} stage sp=4", inst,
+             SolverConfig(epsilon=1e-3, max_iters=300), anchored, *stage),
+            (f"{geom.value} simplex dense", inst, SolverConfig(), dense, *simplex),
+            (f"{geom.value} simplex max_iters", inst, SolverConfig(max_iters=7),
+             dense, *simplex),
+            (f"{geom.value} simplex backtracks", inst,
+             SolverConfig(delta=10.0, max_iters=100), dense, *simplex),
+        ]
+    return cases
+
+
+class TestCarriedEvaluation:
+    """`_descend` hands each accepted iterate's evaluation to the next
+    gradient; the reference loop evaluates every iterate afresh."""
+
+    @pytest.mark.parametrize("case", _descend_cases(), ids=lambda c: c[0])
+    def test_matches_fresh_evaluation_loop(self, case):
+        _, inst, cfg, x0, project, project_ref = case
+        got = _descend(inst, cfg, x0, project)
+        ref = descend_reference(inst, cfg, x0, project_ref)
+        for name in ("objective_trace", "step_size_trace", "backtrack_trace",
+                     "step_norm_trace"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        assert got.x_final.tobytes() == ref.x_final.tobytes()
+        np.testing.assert_array_equal(got.final_step_norm, ref.final_step_norm)
+        assert got.stationarity_residual == ref.stationarity_residual
+        assert got.stop_reason is ref.stop_reason
+
+    def test_cases_cover_both_paths_cuts_and_backtracks(self):
+        cases = _descend_cases()
+        results = {c[0]: _descend(c[1], c[2], c[3], c[4]) for c in cases}
+        for label, inst, _, x0, _, _ in cases:
+            if label.endswith("simplex dense"):
+                # starts on the FFT path and ends on the pair path
+                assert not inst.op._pairs(np.flatnonzero(x0))
+                assert inst.op._pairs(np.flatnonzero(results[label].x_final))
+        for geom in Geometry:
+            stop = results[f"{geom.value} simplex max_iters"].stop_reason
+            assert stop is StopReason.MAX_ITERS
+            for kind in ("box", "simplex"):
+                bt = results[f"{geom.value} {kind} backtracks"].backtrack_trace
+                assert bt.sum() > 0
 
 
 class TestIhtSolve:
@@ -153,7 +240,7 @@ class TestIhtSolve:
         f_x = inst.op.objective(x, inst.y)
         for _ in range(50):
             grad = inst.op.gradient(x, inst.y)
-            x, f_x, _, _ = armijo_step(x, grad, f_x, inst, cfg, sparse_box(inst))
+            x, f_x, *_ = armijo_step(x, grad, f_x, inst, cfg, sparse_box(inst))
             assert x.min() >= 0 and x.max() <= 1
             assert np.count_nonzero(x) <= inst.s
 
