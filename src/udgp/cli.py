@@ -27,16 +27,12 @@ BENCH_NOISE = [0.0, 1e-5, 3e-5, 5e-5, 7e-5]
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=None, help="extra solver starts")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
 
 
 def _config_from_args(args, seed: int) -> SolverConfig:
     kwargs = {"seed": seed}
-    for flag in ["restarts", "gamma", "alpha", "delta", "epsilon", "max_iters"]:
+    for flag in ["restarts", "max_iters"]:
         value = getattr(args, flag)
         if value is not None:
             kwargs[flag] = value
@@ -171,6 +167,17 @@ def _grid_cells(args) -> list[tuple[Geometry, int, int, float]]:
     return [(Geometry(args.geometry), args.s, args.n, args.xi)]
 
 
+def _bench_methods(text: str) -> list[str]:
+    """The methods named in `text`, once each, iht first; a ValueError
+    names --methods when one is unknown or none is given."""
+    wanted = {m.strip() for m in text.split(",")} - {""}
+    unknown = wanted - {"iht", "l1pgd"}
+    if unknown or not wanted:
+        raise ValueError(f"--methods {text!r}: expected a comma-separated "
+                         "subset of iht,l1pgd")
+    return [m for m in ("iht", "l1pgd") if m in wanted]
+
+
 def _trial_seeds(master: int, cell_index: int, trial: int) -> tuple[int, int]:
     state = np.random.SeedSequence([master, cell_index, trial]).generate_state(2)
     return int(state[0]), int(state[1])
@@ -179,10 +186,11 @@ def _trial_seeds(master: int, cell_index: int, trial: int) -> tuple[int, int]:
 def cmd_bench(args) -> int:
     try:
         cells = _grid_cells(args)
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        for m in methods:
-            if m not in ("iht", "l1pgd"):
-                raise ValueError(f"unknown method {m!r}")
+        methods = _bench_methods(args.methods)
+        if args.trials < 0:
+            raise ValueError(f"--trials must be >= 0, got {args.trials}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         base_config = _config_from_args(args, 0)
     except ValueError as err:
         print(f"udgp bench: {err}", file=sys.stderr)
@@ -191,7 +199,7 @@ def cmd_bench(args) -> int:
     trial_rows = []
     mean_rows = []
     for cell_index, (geometry, s, n, xi) in enumerate(cells):
-        per_method: dict[str, tuple[float, float]] = {}
+        mean_times: dict[str, float] = {}
         for method in methods:
             cops, times = [], []
             for trial in range(args.trials):
@@ -210,18 +218,14 @@ def cmd_bench(args) -> int:
                     str(is_exact_binary_fit(instance, result.x_final)).lower(),
                 ])
             if args.trials > 0:
-                per_method[method] = (float(np.mean(cops)), float(np.mean(times)))
+                mean_times[method] = float(np.mean(times))
                 mean_rows.append([
                     geometry.value, s, n, f"{xi:g}", method,
-                    f"{np.mean(cops):.3f}", f"{np.mean(times):.6f}", args.trials,
+                    f"{np.mean(cops):.3f}", f"{mean_times[method]:.6f}", args.trials, "",
                 ])
-        if "iht" in per_method and "l1pgd" in per_method:
-            ratio = per_method["iht"][1] / max(per_method["l1pgd"][1], 1e-12)
-            mean_rows[-2].append(f"{ratio:.4f}")  # on the iht row
-            mean_rows[-1].append("")
-        else:
-            for _ in per_method:
-                mean_rows[-1].append("")
+        if len(mean_times) == 2:  # iht ran first, so its row is mean_rows[-2]
+            ratio = mean_times["iht"] / max(mean_times["l1pgd"], 1e-12)
+            mean_rows[-2][-1] = f"{ratio:.4f}"
 
     header = ["geometry", "s", "n", "xi", "method", "mean_co_p", "mean_time_s",
               "trials", "time_ratio_iht_vs_l1pgd"]

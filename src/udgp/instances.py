@@ -126,19 +126,22 @@ def bin_distances(distances, n: int, geometry: Geometry) -> np.ndarray:
     return y
 
 
-def extract_positions(x, n: int, geometry: Geometry, entry_floor: float = 0.05,
-                      min_cluster_mass: float = 0.5) -> np.ndarray:
+_ENTRY_FLOOR = 0.05       # extraction zeroes entries below this
+_MIN_CLUSTER_MASS = 0.5   # and drops clusters lighter than this
+
+
+def extract_positions(x, n: int, geometry: Geometry) -> np.ndarray:
     """Cluster an occupancy vector into estimated point positions.
 
-    Entries below `entry_floor` are zeroed, surviving runs of adjacent
+    Entries below `_ENTRY_FLOOR` are zeroed, surviving runs of adjacent
     nonzero bins (circularly adjacent on the beltway) form clusters,
-    clusters lighter than `min_cluster_mass` are dropped, and each
+    clusters lighter than `_MIN_CLUSTER_MASS` are dropped, and each
     remaining cluster reports the mass-weighted centroid of its bin
     centers.  Returns positions sorted ascending; empty input gives an
     empty vector.
     """
     w = np.asarray(x, dtype=float).copy()
-    w[w < entry_floor] = 0.0
+    w[w < _ENTRY_FLOOR] = 0.0
     nz = w > 0.0
     if not nz.any():
         return np.zeros(0)
@@ -161,7 +164,7 @@ def extract_positions(x, n: int, geometry: Geometry, entry_floor: float = 0.05,
     for ids in runs:
         vals = w[ids % n]
         mass = vals.sum()
-        if mass < min_cluster_mass:
+        if mass < _MIN_CLUSTER_MASS:
             continue
         # a cluster carrying ~k units of mass holds k points: one centroid
         # would sit between them and miss every one at the match threshold

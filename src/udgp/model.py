@@ -22,8 +22,9 @@ The dispatching methods on `LagOperator` pick between them by support
 size alone: pairs while nnz(x)^2 is within `_sparse_budget`, FFT beyond
 it.  At the published sizes (s <= 30) every hard-thresholded iterate
 takes the pair path, and so do the late iterates of the l1 baseline,
-whose mass concentrates on a few dozen bins.  Both paths agree to 1e-10 absolute with the direct O(n*m) per-lag
-reference loop, which lives in `tests/oracles.py`.
+whose mass concentrates on a few dozen bins.  Both paths agree to 1e-10
+absolute with the direct O(n*m) per-lag reference loop, which lives in
+`tests/oracles.py`.
 
 A solver that has just evaluated an iterate keeps what `evaluate` hands
 back -- the objective, the residual r = forward(x) - y and the support --

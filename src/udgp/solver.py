@@ -21,7 +21,6 @@ and sign conditions a converged iterate must satisfy.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
@@ -104,7 +103,6 @@ class SolveResult:
     final_step_norm: float             # last step norm at stop; nan if no step ran
     stationarity_residual: float
     stop_reason: StopReason
-    wall_time_seconds: float
     start_index: int = 0
 
     @property
@@ -172,7 +170,6 @@ def _descend(instance, config, x0, project) -> SolveResult:
     candidate tried, and no iterate is evaluated twice.
     """
     op, y = instance.op, instance.y
-    t0 = time.perf_counter()
     x = np.array(x0, dtype=float)
     f_x, r, support = op.evaluate(x, y)
     obj_trace = [f_x]
@@ -213,7 +210,6 @@ def _descend(instance, config, x0, project) -> SolveResult:
         final_step_norm=final_step,
         stationarity_residual=resid,
         stop_reason=stop,
-        wall_time_seconds=time.perf_counter() - t0,
     )
 
 
@@ -333,7 +329,6 @@ def anchor_bins(instance, start_index: int = 0) -> tuple[int, ...]:
 
 
 _ENTRY_CHOICES = 3          # randomized starts pick among this many entry bins
-_POLISH_THRESHOLD = 1e-6    # near-fits below this get a binary-rounding polish
 _F_STOP = 1e-12             # an exact fit at or below this ends the restarts
 _STAGE_EPSILON = 1e-3       # step-norm tolerance of the growth-stage solves
 _STAGE_MAX_ITERS = 300      # iteration cap of the growth-stage solves
@@ -384,19 +379,16 @@ def _anchored_support_start(instance, seed: int, start: int) -> np.ndarray:
 def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveResult:
     """Best-of-several-starts driver for either solver.
 
-    Runs config.restarts + 1 starts and returns the result with the
-    lowest final objective (earliest start wins ties).  Hard-thresholding
-    starts grow the support from the anchored pair (see
-    `_guided_iht_start`); the baseline starts from the anchored pair plus
-    a random fill.  A result whose objective is at or below a vanishing
-    level gets its confident mass rounded to an indicator and
-    re-descended; once a start reproduces the histogram exactly,
-    remaining restarts are skipped.  Numeric failures in individual
-    starts are swallowed unless every start fails.
+    Runs one solve from each of config.restarts + 1 starts and returns
+    the result with the lowest final objective (earliest start wins
+    ties).  Hard-thresholding starts grow the support from the anchored
+    pair (see `_guided_iht_start`); the baseline starts from the anchored
+    pair plus a random fill.  Once the best result reproduces the
+    histogram exactly, remaining restarts are skipped.  Numeric failures
+    in individual starts are swallowed unless every start fails.
     """
     if method not in ("iht", "l1pgd"):
         raise ValueError(f"unknown method {method!r}")
-    solve = iht_solve if method == "iht" else l1pgd_solve
     best: SolveResult | None = None
     last_error: NumericError | None = None
     for start in range(config.restarts + 1):
@@ -404,15 +396,8 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
             if method == "iht":
                 result = _guided_iht_start(instance, config, start)
             else:
-                result = solve(instance, config,
-                               _anchored_support_start(instance, config.seed, start))
-            if (result.f_final <= _POLISH_THRESHOLD
-                    and not is_exact_binary_fit(instance, result.x_final)):
-                xb = (result.x_final > 0.5).astype(float)
-                if np.count_nonzero(xb) <= instance.s:
-                    polished = solve(instance, config, xb)
-                    if polished.f_final < result.f_final:
-                        result = polished
+                x0 = _anchored_support_start(instance, config.seed, start)
+                result = l1pgd_solve(instance, config, x0)
         except NumericError as err:
             last_error = err
             continue

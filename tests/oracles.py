@@ -119,7 +119,6 @@ def descend_reference(instance, config, x0, project) -> SolveResult:
         final_step_norm=final_step,
         stationarity_residual=resid,
         stop_reason=stop,
-        wall_time_seconds=0.0,
     )
 
 

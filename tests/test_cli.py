@@ -115,6 +115,13 @@ class TestSolve:
             assert run(["solve", "--in", str(bad),
                         "--out", str(tmp_path / "r.json")]) == 3
 
+    def test_removed_step_flags_exit_2(self, instance_file, tmp_path):
+        for flag in ("--gamma", "--alpha", "--delta", "--epsilon"):
+            with pytest.raises(SystemExit) as err:
+                run(["solve", "--in", str(instance_file), flag, "0.5",
+                     "--out", str(tmp_path / "r.json")])
+            assert err.value.code == 2
+
     def test_unknown_method_exits_2(self, instance_file, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["solve", "--in", str(instance_file), "--method", "simplex",
@@ -142,6 +149,17 @@ class TestBench:
         trials = (tmp_path / "bench.csv.trials.csv").read_text().splitlines()
         trial_rows = [l for l in trials if not l.startswith("#")]
         assert len(trial_rows) == 1 + 4  # header + 2 trials x 2 methods
+
+    def test_ratio_on_iht_row_whatever_the_method_order(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--grid", "custom", "--geometry", "turnpike",
+                    "--s", "4", "--n", "40", "--trials", "1", "--seed", "7",
+                    "--methods", "l1pgd,iht,iht", "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")]
+        assert [r[4] for r in rows[1:]] == ["iht", "l1pgd"]
+        assert all(len(r) == len(rows[0]) for r in rows)
+        assert rows[1][8] != "" and rows[2][8] == ""
 
     def test_trials_record_exact_fit(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -179,6 +197,10 @@ class TestBench:
           "--n", "40", "--xi", "-0.001"], "--xi"),
         (["--scales", "10-1000"], "--scales"),
         (["--scales", "10:999"], "--scales"),
+        (["--methods", ","], "--methods"),
+        (["--methods", "iht,simplex"], "--methods"),
+        (["--trials", "-1"], "--trials"),
+        (["--seed", "-1"], "--seed"),
     ])
     def test_invalid_cell_exits_2_before_solving(self, flags, named,
                                                   tmp_path, capsys):

@@ -132,6 +132,13 @@ class TestExtractPositions:
         np.testing.assert_allclose(
             extract_positions(x, 30, Geometry.TURNPIKE), [10 / 29, 11 / 29])
 
+    def test_cluster_split_over_more_bins_than_points(self):
+        # two units of mass over three bins: the two heaviest bins
+        x = np.zeros(20)
+        x[[5, 6, 7]] = [0.9, 0.2, 0.9]
+        np.testing.assert_allclose(
+            extract_positions(x, 20, Geometry.TURNPIKE), [5 / 19, 7 / 19])
+
     def test_beltway_wraparound_cluster(self):
         x = np.zeros(10)
         x[9], x[0] = 0.5, 0.5
