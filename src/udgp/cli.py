@@ -134,6 +134,7 @@ def cmd_solve(args) -> int:
         "stationarity_residual": result.stationarity_residual,
         "alignment": report.alignment,
         "start_index": result.start_index,
+        "starts_run": result.starts_run,
     }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
@@ -214,7 +215,7 @@ def cmd_bench(args) -> int:
                     geometry.value, s, n, f"{xi:g}", method, trial, inst_seed,
                     report.co_p, f"{solve_seconds:.6f}",
                     f"{result.f_final:.6e}", result.iterations,
-                    result.stop_reason.value,
+                    result.starts_run, result.stop_reason.value,
                     str(is_exact_binary_fit(instance, result.x_final)).lower(),
                 ])
             if args.trials > 0:
@@ -230,8 +231,8 @@ def cmd_bench(args) -> int:
     header = ["geometry", "s", "n", "xi", "method", "mean_co_p", "mean_time_s",
               "trials", "time_ratio_iht_vs_l1pgd"]
     trial_header = ["geometry", "s", "n", "xi", "method", "trial", "seed",
-                    "co_p", "time_s", "f_final", "iterations", "stop_reason",
-                    "exact_fit"]
+                    "co_p", "time_s", "f_final", "iterations", "starts_run",
+                    "stop_reason", "exact_fit"]
     comments = _config_comments(args, base_config, methods)
     _write_csv(args.out, comments, header, mean_rows)
     _write_csv(_trials_path(args.out), comments, trial_header, trial_rows)

@@ -13,7 +13,11 @@ line search exhausts its budget.
 
 The model is nonconvex and has spurious stationary points (the zero
 vector among them), so `multi_start` runs the solver from several starts
-built around an anchored pair of bins and keeps the best objective.
+built around an anchored pair of bins and keeps the best objective.  A
+start that fails usually misses only a few points, or holds the right
+points moved as a block, so before a restart `_repair` re-anchors its
+rounded support and completes it greedily; an exact fit found that way
+is solved once more by the start's own solver, and ends the restarts.
 `stationarity_residual` and `check_l_stationarity` verify the fixed-point
 and sign conditions a converged iterate must satisfy.
 """
@@ -104,6 +108,7 @@ class SolveResult:
     stationarity_residual: float
     stop_reason: StopReason
     start_index: int = 0
+    starts_run: int = 1                # starts `multi_start` ran to get this
 
     @property
     def f_final(self) -> float:
@@ -376,19 +381,101 @@ def _anchored_support_start(instance, seed: int, start: int) -> np.ndarray:
     return x0
 
 
+def _addition_scores(instance, x, r, support) -> np.ndarray:
+    """(n-1) times the objective change from adding each empty bin to x.
+
+    x is a 0/1 indicator with residual r = forward(x) - y and support S.
+    Adding bin q puts c_l more counts at each lag l between q and S, so
+    ||r||^2 changes by 2 * sum_l c_l r_l + sum_l c_l^2.  The first sum is
+    (n-1) times the gradient at q, which given r and S runs no forward
+    pass; r is integral, so rounding removes the scale's rounding error.
+    Each point of S gives one count (two on the circle, one at each of
+    the complementary lags), and a lag repeats only when two points of S
+    are mirror images about q: t + t' = 2q, mod n on the circle, where t
+    may equal t' when it sits opposite q.  Occupied bins score inf.
+    """
+    op, n = instance.op, instance.n
+    g = op.gradient(x, instance.y, r, support)
+    pair = (support[:, None] + support[None, :]).ravel()
+    if op.circular:
+        pair %= n
+        if n % 2:  # 2 is invertible mod an odd n
+            mid = pair * ((n + 1) // 2) % n
+        else:
+            mid = pair[pair % 2 == 0] // 2
+            mid = np.concatenate([mid, mid + n // 2])
+    else:
+        mid = pair[pair % 2 == 0] // 2
+    mirrors = np.bincount(mid, minlength=n)
+    per_point = 2 if op.circular else 1
+    score = 2.0 * np.rint(g * (op.m / 2)) + per_point * (support.size + mirrors)
+    score[support] = np.inf
+    return score
+
+
+def _complete(instance, x) -> bool:
+    """Add to the indicator x, in place, the bin that lowers the misfit
+    most until it holds s points; whether it then fits exactly."""
+    op, y = instance.op, instance.y
+    _, r, support = op.evaluate(x, y)
+    while support.size < instance.s:
+        x[int(np.argmin(_addition_scores(instance, x, r, support)))] = 1.0
+        _, r, support = op.evaluate(x, y)
+    return not r.any()
+
+
+def _repair(instance, x) -> np.ndarray | None:
+    """An exact-fit indicator rebuilt from x's binary support, or None.
+
+    A start that fails usually holds all but one to three points of an
+    answer, either in the right bins or moved as a block.  On the segment
+    the support S = {x > 0.5} is re-anchored twice: shifted so its
+    leftmost point is bin 0, then so its rightmost sits at the largest
+    observed lag, each time adding the anchors {0, largest lag} and
+    dropping what falls outside them.  On both geometries S is then
+    tried as it is.  Each candidate is completed greedily to s points
+    (`_complete`); the first that fits the histogram exactly is returned.
+    """
+    op = instance.op
+    support = np.flatnonzero(np.asarray(x) > 0.5)
+    observed = np.flatnonzero(np.asarray(instance.y) > 0)
+    candidates = []
+    if not op.circular and support.size and observed.size:
+        top = int(observed[-1]) + 1  # the extreme pair's lag
+        for shift in (-support[0], top - support[-1]):
+            moved = support + shift
+            moved = moved[(moved >= 0) & (moved <= top)]
+            candidates.append(np.concatenate([moved, [0, top]]))
+    candidates.append(support)
+    for bins in candidates:
+        xb = np.zeros(instance.n)
+        xb[bins] = 1.0
+        if np.count_nonzero(xb) <= instance.s and _complete(instance, xb):
+            return xb
+    return None
+
+
 def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveResult:
     """Best-of-several-starts driver for either solver.
 
-    Runs one solve from each of config.restarts + 1 starts and returns
-    the result with the lowest final objective (earliest start wins
-    ties).  Hard-thresholding starts grow the support from the anchored
-    pair (see `_guided_iht_start`); the baseline starts from the anchored
-    pair plus a random fill.  Once the best result reproduces the
-    histogram exactly, remaining restarts are skipped.  Numeric failures
-    in individual starts are swallowed unless every start fails.
+    Runs config.restarts + 1 starts at most and returns the result with
+    the lowest final objective (earliest start wins ties), with
+    `starts_run` set to the number of starts that ran.  Hard-thresholding
+    starts grow the support from the anchored pair (see
+    `_guided_iht_start`); the baseline starts from the anchored pair plus
+    a random fill.  A start whose answer, rounded to an indicator, does
+    not reproduce the histogram gets one repair (`_repair`) of that
+    rounded support; a repaired indicator is solved once more by the
+    start's own solver, so the answer is a fixed point of its method's
+    iteration, and its `iterations` counts only that re-solve.  With
+    max_iters = 0 each start is returned as built, unrepaired.  Once the
+    best result reproduces the histogram exactly, remaining restarts are
+    skipped.  Numeric failures in individual starts are swallowed unless
+    every start fails.
     """
     if method not in ("iht", "l1pgd"):
         raise ValueError(f"unknown method {method!r}")
+    solve = iht_solve if method == "iht" else l1pgd_solve
     best: SolveResult | None = None
     last_error: NumericError | None = None
     for start in range(config.restarts + 1):
@@ -397,16 +484,22 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
                 result = _guided_iht_start(instance, config, start)
             else:
                 x0 = _anchored_support_start(instance, config.seed, start)
-                result = l1pgd_solve(instance, config, x0)
+                result = solve(instance, config, x0)
+            exact = is_exact_binary_fit(instance, result.x_final)
+            if not exact and config.max_iters > 0:
+                repaired = _repair(instance, result.x_final)
+                if repaired is not None:
+                    result, exact = solve(instance, config, repaired), True
         except NumericError as err:
             last_error = err
             continue
         result.start_index = start
         if best is None or result.f_final < best.f_final:
             best = result
-        if best.f_final <= _F_STOP and is_exact_binary_fit(instance, best.x_final):
+        if best is result and exact and best.f_final <= _F_STOP:
             break
     if best is None:
         assert last_error is not None
         raise last_error
+    best.starts_run = start + 1
     return best

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src:perfbench OMP_NUM_THREADS=1 python3 tests/panel_fingerprint.py
+    PYTHONPATH=src:perfbench OMP_NUM_THREADS=1 python3 tests/panel_fingerprint.py [--check]
 
 For each of the four workloads in `perfbench/workloads.py` it solves every
 instance of `build_panel(udgp, workload, 0)` with
@@ -12,29 +12,56 @@ bytes, `repr(f_final)`, `start_index`, `iterations`, `stop_reason` and
 `repr(stationarity_residual)`.  Two checkouts whose outputs are identical
 give bit-identical answers on all 32 panel instances.  One BLAS thread
 keeps the floating-point reduction order fixed.  The script takes about
-a minute; pytest does not collect it.  `tests/panel_fingerprint.txt` holds
-its output for the current code.
+15 seconds; pytest does not collect it.  `tests/panel_fingerprint.txt` holds
+its output for the current code.  With --check the script prints, as a
+diff, the lines where this checkout's output differs from that file, and
+exits 1 if any does.
 """
 
+import argparse
+import difflib
 import hashlib
+import sys
+from pathlib import Path
 
 import udgp
 from udgp.solver import SolverConfig, multi_start
 from workloads import WORKLOADS, build_panel
 
 
-def main() -> None:
+EXPECTED = Path(__file__).with_suffix(".txt")
+
+
+def fingerprint_lines():
     for workload in WORKLOADS.values():
         for item in build_panel(udgp, workload, 0):
             result = multi_start(item.instance,
                                  SolverConfig(seed=item.solver_seed),
                                  workload.method)
             digest = hashlib.sha256(result.x_final.tobytes()).hexdigest()
-            print(f"{workload.name} | {item.label} | {digest} | "
-                  f"{result.f_final!r} | {result.start_index} | "
-                  f"{result.iterations} | {result.stop_reason.value} | "
-                  f"{result.stationarity_residual!r}", flush=True)
+            yield (f"{workload.name} | {item.label} | {digest} | "
+                   f"{result.f_final!r} | {result.start_index} | "
+                   f"{result.iterations} | {result.stop_reason.value} | "
+                   f"{result.stationarity_residual!r}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"diff against {EXPECTED.name}; exit 1 on a difference")
+    args = parser.parse_args()
+    if not args.check:
+        for line in fingerprint_lines():
+            print(line, flush=True)
+        return 0
+    expected = EXPECTED.read_text().splitlines()
+    diff = list(difflib.unified_diff(expected, list(fingerprint_lines()),
+                                     EXPECTED.name, "this checkout",
+                                     n=0, lineterm=""))
+    for line in diff:
+        print(line)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

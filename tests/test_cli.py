@@ -95,6 +95,18 @@ class TestSolve:
         assert json.loads(solved.read_text())["exact_fit"] is True
         assert json.loads(cut.read_text())["exact_fit"] is False
 
+    def test_record_counts_the_starts_that_ran(self, instance_file, tmp_path):
+        solved, cut = tmp_path / "solved.json", tmp_path / "cut.json"
+        run(["solve", "--in", str(instance_file), "--seed", "2",
+             "--out", str(solved)])
+        # no start fits without iterations, so all three run
+        run(["solve", "--in", str(instance_file), "--max-iters", "0",
+             "--restarts", "2", "--out", str(cut)])
+        rec = json.loads(solved.read_text())
+        assert rec["starts_run"] == rec["start_index"] + 1
+        rec = json.loads(cut.read_text())
+        assert rec["starts_run"] == 3 != rec["start_index"] + 1
+
     def test_unreadable_instance_exits_3(self, tmp_path):
         code = run(["solve", "--in", str(tmp_path / "missing.json"),
                     "--out", str(tmp_path / "res.json")])
@@ -172,6 +184,18 @@ class TestBench:
                     if not l.startswith("#")]
             assert rows[0][-1] == "exact_fit"
             assert [r[-1] for r in rows[1:]] == [fit, fit]
+
+    def test_trials_record_starts_run(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        for restarts, starts in (("0", "1"), ("2", "3")):
+            run(["bench", "--grid", "custom", "--geometry", "beltway",
+                 "--s", "4", "--n", "40", "--trials", "1", "--seed", "7",
+                 "--restarts", restarts, "--max-iters", "0", "--out", str(out)])
+            rows = [l.split(",") for l in
+                    (tmp_path / "bench.csv.trials.csv").read_text().splitlines()
+                    if not l.startswith("#")]
+            column = rows[0].index("starts_run")
+            assert [r[column] for r in rows[1:]] == [starts, starts]
 
     def test_zero_trials_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"

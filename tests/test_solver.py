@@ -11,7 +11,7 @@ from udgp import (Geometry, NumericError, SolverConfig, StopReason,
                   multi_start, project_capped_simplex, project_sparse_box,
                   score_recovery, stationarity_residual)
 from udgp.instances import Instance
-from udgp.solver import _descend
+from udgp.solver import _addition_scores, _descend, _repair
 
 
 def small_instance(geom=Geometry.TURNPIKE, s=3, n=20, seed=0, xi=0.0):
@@ -358,3 +358,103 @@ class TestMultiStart:
                        noise_sigma=0.0, seed=0)
         with pytest.raises(NumericError):
             multi_start(bad, SolverConfig(restarts=2))
+
+
+def _indicator(n, bins):
+    x = np.zeros(n)
+    x[np.asarray(bins, dtype=int)] = 1.0
+    return x
+
+
+class TestRepair:
+    @pytest.mark.parametrize("geom,s,n,seed,solver_seed", [
+        (Geometry.TURNPIKE, 10, 1000, 131, 131),
+        (Geometry.TURNPIKE, 10, 1000, 131, 2228),
+        (Geometry.TURNPIKE, 20, 2000, 118, 118),
+        (Geometry.BELTWAY, 20, 2000, 90001, 18),
+        (Geometry.TURNPIKE, 30, 4000, 90002, 35),
+    ])
+    def test_failing_starts_end_at_exact_fits(self, geom, s, n, seed,
+                                              solver_seed):
+        """Instances whose 50 starts all failed, or (beltway) won only on
+        start 21, before each failed start was repaired."""
+        inst = generate_instance(geom, s, n, 0.0, seed)
+        res = multi_start(inst, SolverConfig(seed=solver_seed))
+        assert is_exact_binary_fit(inst, res.x_final)
+        assert res.starts_run == res.start_index + 1 <= 7
+        rep = score_recovery(extract_positions(res.x_final, n, geom), inst)
+        assert rep.co_p == s
+
+    def test_left_alignment(self):
+        """Drift: the true set moved right by 23 bins, its rightmost point
+        lost; moving the leftmost point to bin 0 and adding the anchors
+        restores it."""
+        inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 131)
+        bins = inst.true_bins() - inst.true_bins().min()
+        x = 0.97 * _indicator(inst.n, bins[:-1] + 23)
+        np.testing.assert_array_equal(_repair(inst, x),
+                                      _indicator(inst.n, bins))
+
+    def test_right_alignment(self):
+        """The leftmost point lost instead: left alignment puts the wrong
+        point at bin 0, and moving the rightmost point to the largest
+        lag restores the set."""
+        inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 131)
+        bins = inst.true_bins() - inst.true_bins().min()
+        moved = bins[1:] + 23
+        left = _indicator(inst.n, np.append(moved - moved.min(), bins[-1]))
+        assert not is_exact_binary_fit(inst, left)
+        np.testing.assert_array_equal(_repair(inst, _indicator(inst.n, moved)),
+                                      _indicator(inst.n, bins))
+
+    def test_completion_on_the_circle(self):
+        """One point below 0.5 and the rest in place: greedy completion
+        adds the bin that fits exactly."""
+        inst = generate_instance(Geometry.BELTWAY, 20, 2000, 0.0, 90001)
+        truth = inst.true_indicator()
+        x = 0.98 * truth
+        x[inst.true_bins()[7]] = 0.3
+        np.testing.assert_array_equal(_repair(inst, x), truth)
+
+    def test_no_repair_without_an_exact_fit(self):
+        inst = generate_instance(Geometry.BELTWAY, 6, 60, 0.0, 4)
+        y = inst.y.copy()
+        y[np.flatnonzero(y)[0]] -= 1
+        y[np.flatnonzero(y == 0)[0]] += 1
+        bad = Instance(geometry=inst.geometry, n=inst.n, s=inst.s, y=y,
+                       true_positions=inst.true_positions,
+                       noise_sigma=0.0, seed=0)
+        assert _repair(bad, inst.true_indicator()) is None
+
+    def test_addition_scores_match_forward(self):
+        """Each empty bin's score is (n-1) times the objective change of
+        adding it, counted with `forward`, including repeated lags."""
+        rng = np.random.default_rng(8)
+        repeats = {Geometry.TURNPIKE: 0, Geometry.BELTWAY: 0}
+        opposite = 0
+        for geom in Geometry:
+            for n in (40, 41):
+                inst = generate_instance(geom, 7, n, 0.0, n)
+                op, y = inst.op, inst.y
+                supports = [[], [int(rng.integers(n))],
+                            inst.true_bins()[:-1],
+                            [3, 9, 15, 30], [0, n // 2, 5]]
+                supports += [rng.choice(n, size=k, replace=False)
+                             for k in rng.integers(2, 10, size=12)]
+                for bins in supports:
+                    x = _indicator(n, bins)
+                    _, r, support = op.evaluate(x, y)
+                    score = _addition_scores(inst, x, r, support)
+                    base = float(r @ r)
+                    for q in np.flatnonzero(x == 0):
+                        x[q] = 1.0
+                        added = op.forward(x) - y
+                        x[q] = 0.0
+                        assert score[q] == float(added @ added) - base
+                        lags = np.abs(q - support)
+                        if geom is Geometry.BELTWAY:
+                            lags = np.minimum(lags, n - lags)
+                            opposite += bool(np.any(2 * lags == n))
+                        repeats[geom] += lags.size - np.unique(lags).size
+                    assert np.all(np.isinf(score[support]))
+        assert min(repeats.values()) > 0 and opposite > 0
