@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     sol.set_defaults(func=cmd_solve)
 
     ben = sub.add_parser("bench", help="run a benchmark grid, write CSV results")
-    ben.add_argument("--grid", choices=["paper", "custom"], default="paper")
     ben.add_argument("--trials", type=int, default=10)
     ben.add_argument("--seed", type=int, default=0, help="master seed")
     ben.add_argument("--out", required=True)
@@ -74,10 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--scales", default=None,
                      help="published-grid filter, e.g. '10:1000,20:2000'")
     ben.add_argument("--geometry", choices=["turnpike", "beltway"],
-                     help="custom grid cell")
-    ben.add_argument("--s", type=int, help="custom grid cell")
-    ben.add_argument("--n", type=int, help="custom grid cell")
-    ben.add_argument("--xi", type=float, default=0.0, help="custom grid cell")
+                     help="custom cell; with --s and --n, runs it instead of "
+                          "the published grid")
+    ben.add_argument("--s", type=int, help="custom cell")
+    ben.add_argument("--n", type=int, help="custom cell")
+    ben.add_argument("--xi", type=float, default=None,
+                     help="custom cell noise (default 0)")
     _add_hyper_flags(ben)
     ben.set_defaults(func=cmd_bench)
     return parser
@@ -146,26 +147,37 @@ def cmd_solve(args) -> int:
 
 
 def _grid_cells(args) -> list[tuple[Geometry, int, int, float]]:
-    """The cells to run; a ValueError names the flag that makes one invalid."""
-    if args.grid == "paper":
-        scales = BENCH_SCALES
-        if args.scales:
-            wanted = {part.strip() for part in args.scales.split(",")}
-            scales = [(s, n) for s, n in BENCH_SCALES if f"{s}:{n}" in wanted]
-            if len(scales) < len(wanted):
-                raise ValueError(f"--scales {args.scales!r}: expected s:n pairs "
-                                 "from 10:1000, 20:2000, 30:4000")
-        return [(geom, s, n, xi)
-                for geom in (Geometry.TURNPIKE, Geometry.BELTWAY)
-                for (s, n) in scales
-                for xi in BENCH_NOISE]
-    if args.geometry is None or args.s is None or args.n is None:
-        raise ValueError("custom grid needs --geometry, --s and --n")
-    try:
-        check_cell(args.s, args.n, args.xi)
-    except ValueError as err:
-        raise ValueError(f"--s {args.s} --n {args.n} --xi {args.xi:g}: {err}") from None
-    return [(Geometry(args.geometry), args.s, args.n, args.xi)]
+    """The custom cell that --geometry, --s and --n name together, or the
+    published grid when none of them is given; a ValueError names the
+    flag that makes the request invalid."""
+    cell = {"--geometry": args.geometry, "--s": args.s, "--n": args.n}
+    missing = [flag for flag, value in cell.items() if value is None]
+    if len(missing) < len(cell):
+        if missing:
+            raise ValueError("a custom cell needs --geometry, --s and --n; "
+                             f"missing {', '.join(missing)}")
+        if args.scales is not None:
+            raise ValueError("--scales filters the published grid, not a custom cell")
+        xi = 0.0 if args.xi is None else args.xi
+        try:
+            check_cell(args.s, args.n, xi)
+        except ValueError as err:
+            raise ValueError(f"--s {args.s} --n {args.n} --xi {xi:g}: {err}") from None
+        return [(Geometry(args.geometry), args.s, args.n, xi)]
+    if args.xi is not None:
+        raise ValueError("--xi sets a custom cell's noise: give it with "
+                         "--geometry, --s and --n")
+    scales = BENCH_SCALES
+    if args.scales:
+        wanted = {part.strip() for part in args.scales.split(",")}
+        scales = [(s, n) for s, n in BENCH_SCALES if f"{s}:{n}" in wanted]
+        if len(scales) < len(wanted):
+            raise ValueError(f"--scales {args.scales!r}: expected s:n pairs "
+                             "from 10:1000, 20:2000, 30:4000")
+    return [(geom, s, n, xi)
+            for geom in (Geometry.TURNPIKE, Geometry.BELTWAY)
+            for (s, n) in scales
+            for xi in BENCH_NOISE]
 
 
 def _bench_methods(text: str) -> list[str]:
@@ -247,7 +259,7 @@ def _trials_path(out: str) -> str:
 def _config_comments(args, config: SolverConfig, methods) -> list[str]:
     return [
         f"# udgp bench v{__version__}",
-        f"# grid={args.grid} trials={args.trials} master_seed={args.seed} "
+        f"# trials={args.trials} master_seed={args.seed} "
         f"methods={','.join(methods)}",
         f"# gamma={config.gamma} alpha={config.alpha} delta={config.delta} "
         f"epsilon={config.epsilon} max_iters={config.max_iters} "

@@ -143,25 +143,16 @@ def extract_positions(x, n: int, geometry: Geometry) -> np.ndarray:
     w = np.asarray(x, dtype=float).copy()
     w[w < _ENTRY_FLOOR] = 0.0
     nz = w > 0.0
-    if not nz.any():
-        return np.zeros(0)
+    # runs lie between the +1 and -1 edges of the mask; the circle is read
+    # from an empty bin (bin 0 if none is), so no run crosses the ends, and
+    # a run that wraps past bin n-1 keeps counting on from its first bin
+    first = int(np.argmin(nz)) if geometry is Geometry.BELTWAY else 0
+    edges = np.diff(np.concatenate([[0], np.roll(nz, -first), [0]]))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
-    circular = geometry is Geometry.BELTWAY
-    if nz.all():
-        runs = [np.arange(n)]
-    else:
-        # start of a run: nonzero whose predecessor is zero
-        prev = np.roll(nz, 1) if circular else np.concatenate([[False], nz[:-1]])
-        starts = np.flatnonzero(nz & ~prev)
-        runs = []
-        for st in starts:
-            length = 0
-            while nz[(st + length) % n] if circular else (st + length < n and nz[st + length]):
-                length += 1
-            runs.append(st + np.arange(length))  # may exceed n; wraps are unwrapped
-
-    centers = []
-    for ids in runs:
+    picked = []
+    for st, length in zip((starts + first) % n, ends - starts):
+        ids = st + np.arange(length)
         vals = w[ids % n]
         mass = vals.sum()
         if mass < _MIN_CLUSTER_MASS:
@@ -169,17 +160,15 @@ def extract_positions(x, n: int, geometry: Geometry) -> np.ndarray:
         # a cluster carrying ~k units of mass holds k points: one centroid
         # would sit between them and miss every one at the match threshold
         k = max(1, int(round(mass)))
-        if k == 1 or k >= len(ids):
-            picked = [float((vals * ids).sum() / mass)] if k == 1 else list(ids)
+        if k == 1:
+            picked.append((vals * ids).sum() / mass)
+        elif k >= len(ids):
+            picked.extend(ids)
         else:
             order = np.argsort(-vals, kind="stable")[:k]
-            picked = list(ids[np.sort(order)])
-        for c in picked:
-            if geometry is Geometry.TURNPIKE:
-                centers.append(float(c) / (n - 1))
-            else:
-                centers.append((float(c) % n) / n)
-    return np.sort(np.asarray(centers))
+            picked.extend(ids[np.sort(order)])
+    bins = np.asarray(picked, dtype=float) % n
+    return np.sort(bins_to_positions(bins, n, geometry))
 
 
 @dataclass
@@ -217,11 +206,7 @@ def score_recovery(estimated, instance: Instance) -> RecoveryReport:
     No estimate is within it of two true points, so the count is already a
     maximum one-to-one matching.  The count changes only at the shifts
     t - e +/- threshold, so shift 0 and one shift inside each stretch
-    between them give the exact maximum.  The old scorer's candidates (0
-    and the centroid-aligned shift on the segment, grid rotations on the
-    circle) are such shifts, so Co.P can only have risen, where they
-    missed an alignment (or fallen where their position-unit rounding
-    counted an estimate exactly at the threshold).  Ties prefer identity,
+    between them give the exact maximum.  Ties prefer identity,
     then reflection (about the estimate's midpoint on the segment, about 0
     on the circle), then the shift nearest 0 the short way round.  `shift`
     and `threshold` are in position units.

@@ -148,15 +148,16 @@ class LagOperator:
         residual.  A caller that already holds r and the support
         flatnonzero(x) of this same x (from `evaluate`) may pass them; the
         result is bit-identical and skips the forward pass and the scan.
+        Without r, both come from `evaluate`.
         """
         x = self._check_x(x)
         if r is None:
-            y = self._check_y(y)
-        if support is None:
+            _, r, support = self.evaluate(x, y)
+        elif support is None:
             support = np.flatnonzero(x)
         if self._pairs(support):
-            return self._gradient_sparse(x, y, support, r)
-        return self._gradient_fft(x, y, r)
+            return self._gradient_sparse(x, support, r)
+        return self._gradient_fft(x, r)
 
     # ---- FFT path ----
 
@@ -166,11 +167,8 @@ class LagOperator:
         acorr = np.fft.irfft(X.real**2 + X.imag**2, L)
         return acorr[1:self.n].copy()
 
-    def _gradient_fft(self, x: np.ndarray, y: np.ndarray,
-                      r: np.ndarray | None = None) -> np.ndarray:
+    def _gradient_fft(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         n, L = self.n, self._fft_len
-        if r is None:
-            r = self._forward_fft(x) - y
         c = np.zeros(L)
         if self.circular:
             c[1:n] = r + r[::-1]
@@ -194,11 +192,9 @@ class LagOperator:
             w = np.concatenate([w, w])
         return np.bincount(lags - 1, weights=w, minlength=self.m)
 
-    def _gradient_sparse(self, x: np.ndarray, y: np.ndarray, support: np.ndarray,
-                         r: np.ndarray | None = None) -> np.ndarray:
+    def _gradient_sparse(self, x: np.ndarray, support: np.ndarray,
+                         r: np.ndarray) -> np.ndarray:
         n = self.n
-        if r is None:
-            r = self._forward_sparse(x, support) - y
         ri = np.flatnonzero(r)
         if ri.size == 0 or support.size == 0:
             return np.zeros(n)

@@ -306,10 +306,9 @@ def is_exact_binary_fit(instance, x) -> bool:
 
     This is the decisive recovery check: a rounded iterate either matches
     the integer lag counts or it does not, with no tolerance involved.
+    More than s points make more pairs than y counts, so they never fit.
     """
     xb = (np.asarray(x, dtype=float) > 0.5).astype(float)
-    if np.count_nonzero(xb) > instance.s:
-        return False
     return bool(np.array_equal(instance.op.forward(xb),
                                np.asarray(instance.y, dtype=float)))
 
@@ -334,7 +333,6 @@ def anchor_bins(instance, start_index: int = 0) -> tuple[int, ...]:
 
 
 _ENTRY_CHOICES = 3          # randomized starts pick among this many entry bins
-_F_STOP = 1e-12             # an exact fit at or below this ends the restarts
 _STAGE_EPSILON = 1e-3       # step-norm tolerance of the growth-stage solves
 _STAGE_MAX_ITERS = 300      # iteration cap of the growth-stage solves
 
@@ -435,6 +433,7 @@ def _repair(instance, x) -> np.ndarray | None:
     dropping what falls outside them.  On both geometries S is then
     tried as it is.  Each candidate is completed greedily to s points
     (`_complete`); the first that fits the histogram exactly is returned.
+    One that already holds more than s points is left as it is and fails.
     """
     op = instance.op
     support = np.flatnonzero(np.asarray(x) > 0.5)
@@ -450,7 +449,7 @@ def _repair(instance, x) -> np.ndarray | None:
     for bins in candidates:
         xb = np.zeros(instance.n)
         xb[bins] = 1.0
-        if np.count_nonzero(xb) <= instance.s and _complete(instance, xb):
+        if _complete(instance, xb):
             return xb
     return None
 
@@ -496,7 +495,7 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
         result.start_index = start
         if best is None or result.f_final < best.f_final:
             best = result
-        if best is result and exact and best.f_final <= _F_STOP:
+        if best is result and exact:
             break
     if best is None:
         assert last_error is not None

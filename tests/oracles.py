@@ -3,15 +3,17 @@
 Each is the plain form of a computation the library does a faster way:
 the lag model's forward map and gradient, the sparse-box projection's
 two-scan tie rule, the projected-gradient loop that evaluates every
-iterate afresh, the L-stationarity sign check, a random binary start and
-the symmetry-aware recovery count.
+iterate afresh, the L-stationarity sign check, a random binary start,
+the bin-by-bin cluster walk of position extraction and the
+symmetry-aware recovery count.
 """
 
 import math
 
 import numpy as np
 
-from udgp import LagOperator, StationarityReport
+from udgp import Geometry, LagOperator, StationarityReport
+from udgp.instances import _ENTRY_FLOOR, _MIN_CLUSTER_MASS
 from udgp.solver import BacktrackExhausted, SolveResult, StopReason, _philox
 
 
@@ -148,6 +150,47 @@ def random_support_start(n: int, s: int, seed: int, start_index: int) -> np.ndar
     x0 = np.zeros(n)
     x0[rng.choice(n, size=s, replace=False)] = 1.0
     return x0
+
+
+def extract_positions_walk(x, n: int, geometry: Geometry) -> np.ndarray:
+    """Reference `extract_positions`: each run found by walking from its
+    first bin one bin at a time; a run that wraps past bin n-1 on the
+    circle keeps counting on past n, and a fully occupied circle is the
+    single run 0..n-1."""
+    w = np.asarray(x, dtype=float).copy()
+    w[w < _ENTRY_FLOOR] = 0.0
+    nz = w > 0.0
+    if not nz.any():
+        return np.zeros(0)
+    circular = geometry is Geometry.BELTWAY
+    if nz.all():
+        runs = [np.arange(n)]
+    else:
+        prev = np.roll(nz, 1) if circular else np.concatenate([[False], nz[:-1]])
+        runs = []
+        for st in np.flatnonzero(nz & ~prev):
+            length = 0
+            while nz[(st + length) % n] if circular else (st + length < n and nz[st + length]):
+                length += 1
+            runs.append(st + np.arange(length))
+    centers = []
+    for ids in runs:
+        vals = w[ids % n]
+        mass = vals.sum()
+        if mass < _MIN_CLUSTER_MASS:
+            continue
+        k = max(1, int(round(mass)))
+        if k == 1 or k >= len(ids):
+            picked = [float((vals * ids).sum() / mass)] if k == 1 else list(ids)
+        else:
+            order = np.argsort(-vals, kind="stable")[:k]
+            picked = list(ids[np.sort(order)])
+        for c in picked:
+            if geometry is Geometry.TURNPIKE:
+                centers.append(float(c) / (n - 1))
+            else:
+                centers.append((float(c) % n) / n)
+    return np.sort(np.asarray(centers))
 
 
 def aligned_count(true_bins, est_bins, shifts, n: int, circular: bool) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src:perfbench OMP_NUM_THREADS=1 python3 tests/panel_fingerprint.py [--check]
+    python3 tests/panel_fingerprint.py [--check]
 
 For each of the four workloads in `perfbench/workloads.py` it solves every
 instance of `build_panel(udgp, workload, 0)` with
@@ -10,9 +10,11 @@ instance of `build_panel(udgp, workload, 0)` with
 prints the workload, the instance label, the sha256 of the `x_final`
 bytes, `repr(f_final)`, `start_index`, `iterations`, `stop_reason` and
 `repr(stationarity_residual)`.  Two checkouts whose outputs are identical
-give bit-identical answers on all 32 panel instances.  One BLAS thread
-keeps the floating-point reduction order fixed.  The script takes about
-15 seconds; pytest does not collect it.  `tests/panel_fingerprint.txt` holds
+give bit-identical answers on all 32 panel instances.  Like
+`perfbench/run.py`, the script pins the BLAS and OpenMP pools to one
+thread, which keeps the floating-point reduction order fixed, and puts
+`src/` and `perfbench/` on the import path before NumPy loads.  It takes
+about 15 seconds; pytest does not collect it.  `tests/panel_fingerprint.txt` holds
 its output for the current code.  With --check the script prints, as a
 diff, the lines where this checkout's output differs from that file, and
 exits 1 if any does.
@@ -21,18 +23,19 @@ exits 1 if any does.
 import argparse
 import difflib
 import hashlib
+import os
 import sys
 from pathlib import Path
-
-import udgp
-from udgp.solver import SolverConfig, multi_start
-from workloads import WORKLOADS, build_panel
-
 
 EXPECTED = Path(__file__).with_suffix(".txt")
 
 
 def fingerprint_lines():
+    # imported only once the thread pools are pinned and the path is set
+    import udgp
+    from udgp.solver import SolverConfig, multi_start
+    from workloads import WORKLOADS, build_panel
+
     for workload in WORKLOADS.values():
         for item in build_panel(udgp, workload, 0):
             result = multi_start(item.instance,
@@ -64,4 +67,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    root = Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     sys.exit(main())

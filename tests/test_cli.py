@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from udgp import NumericError
 from udgp.cli import main
 
 
@@ -134,6 +136,22 @@ class TestSolve:
                      "--out", str(tmp_path / "r.json")])
             assert err.value.code == 2
 
+    def test_negative_restarts_exits_2(self, instance_file, tmp_path):
+        assert run(["solve", "--in", str(instance_file), "--restarts", "-1",
+                    "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_numeric_failure_exits_4(self, instance_file, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericError("objective became non-finite", np.zeros(40), 0)
+
+        monkeypatch.setattr("udgp.cli.multi_start", fail)
+        assert run(["solve", "--in", str(instance_file),
+                    "--out", str(tmp_path / "r.json")]) == 4
+
+    def test_out_in_missing_directory_exits_3(self, instance_file, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        assert run(["solve", "--in", str(instance_file), "--out", str(out)]) == 3
+
     def test_unknown_method_exits_2(self, instance_file, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["solve", "--in", str(instance_file), "--method", "simplex",
@@ -144,7 +162,7 @@ class TestSolve:
 class TestBench:
     def test_custom_cell_both_methods(self, tmp_path):
         out = tmp_path / "bench.csv"
-        code = run(["bench", "--grid", "custom", "--geometry", "turnpike",
+        code = run(["bench", "--geometry", "turnpike",
                     "--s", "4", "--n", "40", "--xi", "0", "--trials", "2",
                     "--seed", "7", "--out", str(out)])
         assert code == 0
@@ -164,7 +182,7 @@ class TestBench:
 
     def test_ratio_on_iht_row_whatever_the_method_order(self, tmp_path):
         out = tmp_path / "bench.csv"
-        assert run(["bench", "--grid", "custom", "--geometry", "turnpike",
+        assert run(["bench", "--geometry", "turnpike",
                     "--s", "4", "--n", "40", "--trials", "1", "--seed", "7",
                     "--methods", "l1pgd,iht,iht", "--out", str(out)]) == 0
         rows = [l.split(",") for l in out.read_text().splitlines()
@@ -176,7 +194,7 @@ class TestBench:
     def test_trials_record_exact_fit(self, tmp_path):
         out = tmp_path / "bench.csv"
         for max_iters, fit in (("5000", "true"), ("0", "false")):
-            run(["bench", "--grid", "custom", "--geometry", "beltway",
+            run(["bench", "--geometry", "beltway",
                  "--s", "4", "--n", "40", "--trials", "1", "--seed", "7",
                  "--restarts", "0", "--max-iters", max_iters, "--out", str(out)])
             rows = [l.split(",") for l in
@@ -188,7 +206,7 @@ class TestBench:
     def test_trials_record_starts_run(self, tmp_path):
         out = tmp_path / "bench.csv"
         for restarts, starts in (("0", "1"), ("2", "3")):
-            run(["bench", "--grid", "custom", "--geometry", "beltway",
+            run(["bench", "--geometry", "beltway",
                  "--s", "4", "--n", "40", "--trials", "1", "--seed", "7",
                  "--restarts", restarts, "--max-iters", "0", "--out", str(out)])
             rows = [l.split(",") for l in
@@ -199,7 +217,7 @@ class TestBench:
 
     def test_zero_trials_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
-        code = run(["bench", "--grid", "custom", "--geometry", "beltway",
+        code = run(["bench", "--geometry", "beltway",
                     "--s", "4", "--n", "40", "--trials", "0",
                     "--out", str(out)])
         assert code == 0
@@ -207,24 +225,41 @@ class TestBench:
                 if not l.startswith("#")]
         assert len(rows) == 1 and rows[0].startswith("geometry,")
 
-    def test_custom_grid_requires_cell_flags(self, tmp_path):
-        code = run(["bench", "--grid", "custom", "--trials", "1",
-                    "--out", str(tmp_path / "x.csv")])
-        assert code == 2
+    def test_out_in_missing_directory_exits_3(self, tmp_path):
+        out = tmp_path / "missing" / "b.csv"
+        assert run(["bench", "--geometry", "beltway", "--s", "4", "--n", "40",
+                    "--trials", "0", "--out", str(out)]) == 3
+
+    def test_custom_grid_requires_cell_flags(self, tmp_path, capsys):
+        cell = {"--geometry": "beltway", "--s": "4", "--n": "40"}
+        out = tmp_path / "x.csv"
+        for left_out in cell:
+            flags = [v for k, value in cell.items() if k != left_out
+                     for v in (k, value)]
+            assert run(["bench", "--trials", "1", *flags, "--out", str(out)]) == 2
+            assert f"missing {left_out}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_grid_flag_is_unknown(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run(["bench", "--grid", "custom", "--geometry", "beltway", "--s", "4",
+                 "--n", "40", "--trials", "1", "--out", str(tmp_path / "x.csv")])
+        assert err.value.code == 2
 
     @pytest.mark.parametrize("flags,named", [
-        (["--grid", "custom", "--geometry", "turnpike", "--s", "10",
-          "--n", "15"], "--n"),
-        (["--grid", "custom", "--geometry", "turnpike", "--s", "1",
-          "--n", "40"], "--s"),
-        (["--grid", "custom", "--geometry", "beltway", "--s", "4",
-          "--n", "40", "--xi", "-0.001"], "--xi"),
+        (["--geometry", "turnpike", "--s", "10", "--n", "15"], "--n"),
+        (["--geometry", "turnpike", "--s", "1", "--n", "40"], "--s"),
+        (["--geometry", "beltway", "--s", "4", "--n", "40",
+          "--xi", "-0.001"], "--xi"),
         (["--scales", "10-1000"], "--scales"),
         (["--scales", "10:999"], "--scales"),
         (["--methods", ","], "--methods"),
         (["--methods", "iht,simplex"], "--methods"),
         (["--trials", "-1"], "--trials"),
         (["--seed", "-1"], "--seed"),
+        (["--geometry", "turnpike", "--s", "4", "--n", "40",
+          "--scales", "10:1000"], "--scales"),
+        (["--xi", "1e-5"], "--xi"),
     ])
     def test_invalid_cell_exits_2_before_solving(self, flags, named,
                                                   tmp_path, capsys):
@@ -237,7 +272,7 @@ class TestBench:
         outs = []
         for name in ("b1.csv", "b2.csv"):
             out = tmp_path / name
-            run(["bench", "--grid", "custom", "--geometry", "turnpike",
+            run(["bench", "--geometry", "turnpike",
                  "--s", "4", "--n", "40", "--trials", "1", "--seed", "3",
                  "--methods", "iht", "--out", str(out)])
             rows = [l.split(",") for l in

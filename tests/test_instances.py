@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import aligned_count, brute_force_co_p
+from oracles import aligned_count, brute_force_co_p, extract_positions_walk
 
 from udgp import (Geometry, Instance, LagOperator, bin_distances,
                   bins_to_positions, extract_positions, generate_instance,
@@ -144,6 +144,31 @@ class TestExtractPositions:
         x[9], x[0] = 0.5, 0.5
         got = extract_positions(x, 10, Geometry.BELTWAY)
         np.testing.assert_allclose(got, [0.95])
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_matches_bin_by_bin_walk(self, geometry):
+        """Equal, bit for bit, to the walk reference on fully occupied,
+        wrapped, below-floor and quantized vectors; on the circle a scan
+        that began inside a wrapped run would split it."""
+        rng = np.random.default_rng(31)
+        wrapped = 0
+        for i in range(1200):
+            n = int(rng.integers(2, 41))
+            kind = i % 4
+            if kind == 0:    # every bin above the entry floor
+                x = rng.uniform(0.05, 1.0, n)
+            elif kind == 1:  # runs through both ends
+                x = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5)
+                x[[0, -1]] = rng.uniform(0.05, 1.0, 2)
+            elif kind == 2:  # entries on both sides of the floor
+                x = rng.uniform(0.0, 0.1, n) * (rng.random(n) < 0.7)
+                x = np.where(rng.random(n) < 0.3, rng.uniform(0.1, 1.0, n), x)
+            else:            # quarter units: masses on the k rounding ties
+                x = rng.integers(0, 5, n) / 4.0
+            wrapped += bool(x[0] >= 0.05 and x[-1] >= 0.05 and (x < 0.05).any())
+            np.testing.assert_array_equal(extract_positions(x, n, geometry),
+                                          extract_positions_walk(x, n, geometry))
+        assert wrapped > 300
 
 
 class TestScoreRecovery:
@@ -337,6 +362,7 @@ class TestSerialization:
             lambda rec: rec["true_positions"].__setitem__(0, float("nan")),
             lambda rec: rec["true_positions"].__setitem__(0, -0.25),
             lambda rec: rec["true_positions"].__setitem__(4, 1.5),
+            lambda rec: rec["true_positions"].pop(),        # one position short
         ]
         for geometry in Geometry:
             text = instance_to_json(generate_instance(geometry, 5, 64, 0.0, 1))

@@ -73,6 +73,8 @@ class TestSparseBox:
             project_sparse_box([1.0, 2.0], 0)
         with pytest.raises(ValueError):
             project_sparse_box([1.0, 2.0], 3)
+        with pytest.raises(ValueError):
+            project_sparse_box([[1.0, 2.0]], 1)
 
 
     def test_single_scan_matches_two_scan_on_ties(self):
@@ -149,3 +151,7 @@ class TestCappedSimplex:
     def test_infeasible_target(self):
         with pytest.raises(ValueError):
             project_capped_simplex([0.0, 0.0], 3)
+        with pytest.raises(ValueError):
+            project_capped_simplex([[0.0, 0.0]], 1)
+        with pytest.raises(ValueError):
+            capped_simplex_with_multiplier([0.0, 0.0], 0)

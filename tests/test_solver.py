@@ -30,6 +30,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(gamma=0.0), dict(gamma=1.0), dict(alpha=1.0), dict(delta=0.0),
         dict(epsilon=-1e-9), dict(max_iters=-1), dict(restarts=-1),
+        dict(max_backtracks=0),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
