@@ -16,9 +16,10 @@ from .projections import (capped_simplex_with_multiplier,
                           project_capped_simplex, project_sparse_box)
 from .solver import (BacktrackExhausted, NumericError, SolveResult,
                      SolverConfig, StationarityReport, StopReason,
-                     anchor_bins, armijo_step, check_l_stationarity,
-                     iht_solve, is_exact_binary_fit, l1pgd_solve,
-                     multi_start, stationarity_residual)
+                     anchor_bins, armijo_step, binary_misfit,
+                     check_l_stationarity, iht_solve, is_exact_binary_fit,
+                     l1pgd_solve, misfit_budget, multi_start,
+                     stationarity_residual)
 
 __version__ = "0.1.0"
 
@@ -36,6 +37,7 @@ __all__ = [
     "anchor_bins",
     "armijo_step",
     "bin_distances",
+    "binary_misfit",
     "bins_to_positions",
     "capped_simplex_with_multiplier",
     "check_l_stationarity",
@@ -47,6 +49,7 @@ __all__ = [
     "instance_to_json",
     "l1pgd_solve",
     "load_instance",
+    "misfit_budget",
     "multi_start",
     "positions_to_bins",
     "project_capped_simplex",

@@ -18,8 +18,8 @@ from . import __version__
 from .instances import (Geometry, check_cell, extract_positions,
                         generate_instance, load_instance, save_instance,
                         score_recovery)
-from .solver import (NumericError, SolverConfig, is_exact_binary_fit,
-                     multi_start)
+from .solver import (NumericError, SolverConfig, binary_misfit,
+                     misfit_budget, multi_start)
 
 BENCH_SCALES = [(10, 1000), (20, 2000), (30, 4000)]
 BENCH_NOISE = [0.0, 1e-5, 3e-5, 5e-5, 7e-5]
@@ -98,12 +98,20 @@ def cmd_generate(args) -> int:
 
 
 def _solve_and_score(instance, config, method):
+    """(result, report, solve seconds, fit) for one solve; fit holds the
+    answer's `misfit`, the `misfit_budget`, `exact_fit` (misfit 0) and
+    `homometric` (an exact fit that recovers fewer than s points: another
+    set with the same histogram, not a solver failure)."""
     t0 = time.perf_counter()
     result = multi_start(instance, config, method=method)
     solve_seconds = time.perf_counter() - t0
     estimated = extract_positions(result.x_final, instance.n, instance.geometry)
     report = score_recovery(estimated, instance)
-    return result, report, solve_seconds
+    misfit = int(binary_misfit(instance, result.x_final))
+    fit = {"misfit": misfit, "misfit_budget": misfit_budget(instance),
+           "exact_fit": misfit == 0,
+           "homometric": misfit == 0 and report.co_p < instance.s}
+    return result, report, solve_seconds, fit
 
 
 def cmd_solve(args) -> int:
@@ -117,7 +125,8 @@ def cmd_solve(args) -> int:
     except ValueError as err:
         print(f"udgp solve: {err}", file=sys.stderr)
         return 2
-    result, report, solve_seconds = _solve_and_score(instance, config, args.method)
+    result, report, solve_seconds, fit = _solve_and_score(instance, config,
+                                                          args.method)
     record = {
         "method": args.method,
         "geometry": instance.geometry.value,
@@ -128,9 +137,10 @@ def cmd_solve(args) -> int:
         "co_p": report.co_p,
         "f_final": result.f_final,
         "iterations": result.iterations,
+        "total_iterations": result.total_iterations,
         "wall_time_seconds": solve_seconds,
         "stop_reason": result.stop_reason.value,
-        "exact_fit": is_exact_binary_fit(instance, result.x_final),
+        **fit,
         "estimated_positions": [float(v) for v in report.estimated_positions],
         "stationarity_residual": result.stationarity_residual,
         "alignment": report.alignment,
@@ -219,7 +229,7 @@ def cmd_bench(args) -> int:
                 inst_seed, solver_seed = _trial_seeds(args.seed, cell_index, trial)
                 instance = generate_instance(geometry, s, n, xi, inst_seed)
                 config = _config_from_args(args, solver_seed)
-                result, report, solve_seconds = _solve_and_score(
+                result, report, solve_seconds, fit = _solve_and_score(
                     instance, config, method)
                 cops.append(report.co_p)
                 times.append(solve_seconds)
@@ -227,8 +237,10 @@ def cmd_bench(args) -> int:
                     geometry.value, s, n, f"{xi:g}", method, trial, inst_seed,
                     report.co_p, f"{solve_seconds:.6f}",
                     f"{result.f_final:.6e}", result.iterations,
-                    result.starts_run, result.stop_reason.value,
-                    str(is_exact_binary_fit(instance, result.x_final)).lower(),
+                    result.total_iterations, result.starts_run,
+                    result.stop_reason.value, fit["misfit"],
+                    fit["misfit_budget"], str(fit["homometric"]).lower(),
+                    str(fit["exact_fit"]).lower(),
                 ])
             if args.trials > 0:
                 mean_times[method] = float(np.mean(times))
@@ -243,8 +255,9 @@ def cmd_bench(args) -> int:
     header = ["geometry", "s", "n", "xi", "method", "mean_co_p", "mean_time_s",
               "trials", "time_ratio_iht_vs_l1pgd"]
     trial_header = ["geometry", "s", "n", "xi", "method", "trial", "seed",
-                    "co_p", "time_s", "f_final", "iterations", "starts_run",
-                    "stop_reason", "exact_fit"]
+                    "co_p", "time_s", "f_final", "iterations",
+                    "total_iterations", "starts_run", "stop_reason", "misfit",
+                    "misfit_budget", "homometric", "exact_fit"]
     comments = _config_comments(args, base_config, methods)
     _write_csv(args.out, comments, header, mean_rows)
     _write_csv(_trials_path(args.out), comments, trial_header, trial_rows)

@@ -13,11 +13,15 @@ line search exhausts its budget.
 
 The model is nonconvex and has spurious stationary points (the zero
 vector among them), so `multi_start` runs the solver from several starts
-built around an anchored pair of bins and keeps the best objective.  A
-start that fails usually misses only a few points, or holds the right
-points moved as a block, so before a restart `_repair` re-anchors its
-rounded support and completes it greedily; an exact fit found that way
-is solved once more by the start's own solver, and ends the restarts.
+built around an anchored pair of bins.  A start *fits* when its rounded
+support {x > 0.5} holds s points whose histogram misfits y, in L1, by no
+more than the noise can explain (`misfit_budget`: 0 on noise-free data,
+so there a fit is an exact one).  The first start that fits ends the
+restarts; if none does, the best objective wins.  A start that fails
+usually misses only a few points, or holds the right points moved as a
+block, so before a restart `_repair` re-anchors its rounded support and
+completes it greedily; a fit found that way is solved once more by the
+start's own solver.
 `stationarity_residual` and `check_l_stationarity` verify the fixed-point
 and sign conditions a converged iterate must satisfy.
 """
@@ -109,6 +113,7 @@ class SolveResult:
     stop_reason: StopReason
     start_index: int = 0
     starts_run: int = 1                # starts `multi_start` ran to get this
+    total_iterations: int = 0          # Armijo steps of every descent behind this
 
     @property
     def f_final(self) -> float:
@@ -215,6 +220,7 @@ def _descend(instance, config, x0, project) -> SolveResult:
         final_step_norm=final_step,
         stationarity_residual=resid,
         stop_reason=stop,
+        total_iterations=len(tau_trace),
     )
 
 
@@ -301,16 +307,72 @@ def _philox(seed: int, start: int, stage: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def binary_misfit(instance, x) -> float:
+    """L1 misfit sum |forward(x_b) - y| of x's rounded support x_b = {x > 0.5}.
+
+    The lag counts of an indicator are integers, so they are rounded:
+    the FFT path's rounding error cannot make an exact fit look inexact.
+    """
+    xb = (np.asarray(x, dtype=float) > 0.5).astype(float)
+    return float(np.abs(np.rint(instance.op.forward(xb)) - instance.y).sum())
+
+
 def is_exact_binary_fit(instance, x) -> bool:
     """Whether rounding x to an indicator reproduces the histogram exactly.
 
-    This is the decisive recovery check: a rounded iterate either matches
-    the integer lag counts or it does not, with no tolerance involved.
-    More than s points make more pairs than y counts, so they never fit.
+    This is the decisive recovery check on noise-free data: a rounded
+    iterate either matches the integer lag counts or it does not, with no
+    tolerance involved.  More than s points make more pairs than y
+    counts, so they never fit.
     """
-    xb = (np.asarray(x, dtype=float) > 0.5).astype(float)
-    return bool(np.array_equal(instance.op.forward(xb),
-                               np.asarray(instance.y, dtype=float)))
+    return binary_misfit(instance, x) == 0.0
+
+
+_NOISE_TAIL = 1e-3  # chance that noise alone misfits the true set past the budget
+
+
+def misfit_budget(instance) -> int:
+    """The L1 misfit between y and its true set's histogram that the
+    distance noise alone explains, or 0.
+
+    A distance with N(0, xi^2) noise moves to another lag when the noise
+    crosses a half-bin, which happens with probability
+    p = erfc(1 / (2 sqrt(2) * scale * xi)), scale being n-1 on the
+    segment and n on the circle.  Each such crossing costs the true set
+    2 of misfit (4 on the circle, where both complementary lags move).
+    The budget is that cost times q, the smallest count with
+    BinomCDF(q; s(s-1)/2, p) >= 1 - `_NOISE_TAIL`.  It applies only while
+    it stays below the misfit of a support missing one point, s-1 (2(s-1)
+    on the circle), so that no such support can pass; past that, and
+    without noise, it is 0 and only an exact fit passes.
+    """
+    xi = instance.noise_sigma
+    if not xi > 0.0:
+        return 0
+    circular = instance.op.circular
+    scale = instance.n if circular else instance.n - 1
+    p = math.erfc(1.0 / (2.0 * math.sqrt(2.0) * scale * xi))
+    if p >= 1.0:  # every distance crosses: far past the cap
+        return 0
+    pairs = instance.s * (instance.s - 1) // 2
+    cost = 4 if circular else 2
+    cap = cost // 2 * (instance.s - 1)
+    pmf = cdf = (1.0 - p) ** pairs
+    q = 0
+    while cdf < 1.0 - _NOISE_TAIL:
+        q += 1
+        if cost * q >= cap:
+            return 0
+        pmf *= (pairs - q + 1) / q * p / (1.0 - p)
+        cdf += pmf
+    return cost * q
+
+
+def _fits(instance, x, budget) -> bool:
+    """Whether x's rounded support holds s points and misfits y by at most
+    `budget`; with budget 0, whether it fits exactly."""
+    return (np.count_nonzero(np.asarray(x) > 0.5) == instance.s
+            and binary_misfit(instance, x) <= budget)
 
 
 def anchor_bins(instance, start_index: int = 0) -> tuple[int, ...]:
@@ -353,6 +415,7 @@ def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult
     x[list(anchor_bins(instance, start))] = 1.0
     stage_config = replace(config, epsilon=_STAGE_EPSILON,
                            max_iters=min(_STAGE_MAX_ITERS, config.max_iters))
+    stage_iterations = 0
     for sp in range(2, s):
         if start > 0 and np.count_nonzero(x) < sp:
             g = instance.op.gradient(x, instance.y)
@@ -362,9 +425,13 @@ def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult
             pick = int(_philox(config.seed, start, sp).integers(0, cand.size))
             x = x.copy()
             x[cand[pick]] = 1.0
-        x = _descend(instance, stage_config, x,
-                     lambda z: project_sparse_box(z, sp)).x_final
-    return iht_solve(instance, config, x)
+        stage = _descend(instance, stage_config, x,
+                         lambda z: project_sparse_box(z, sp))
+        x = stage.x_final
+        stage_iterations += stage.iterations
+    result = iht_solve(instance, config, x)
+    result.total_iterations += stage_iterations
+    return result
 
 
 def _anchored_support_start(instance, seed: int, start: int) -> np.ndarray:
@@ -411,19 +478,19 @@ def _addition_scores(instance, x, r, support) -> np.ndarray:
     return score
 
 
-def _complete(instance, x) -> bool:
+def _complete(instance, x, budget) -> bool:
     """Add to the indicator x, in place, the bin that lowers the misfit
-    most until it holds s points; whether it then fits exactly."""
+    most until it holds s points; whether it then fits within `budget`."""
     op, y = instance.op, instance.y
-    _, r, support = op.evaluate(x, y)
-    while support.size < instance.s:
-        x[int(np.argmin(_addition_scores(instance, x, r, support)))] = 1.0
+    for _ in range(instance.s - np.count_nonzero(x)):
         _, r, support = op.evaluate(x, y)
-    return not r.any()
+        x[int(np.argmin(_addition_scores(instance, x, r, support)))] = 1.0
+    return _fits(instance, x, budget)
 
 
-def _repair(instance, x) -> np.ndarray | None:
-    """An exact-fit indicator rebuilt from x's binary support, or None.
+def _repair(instance, x, budget=0) -> np.ndarray | None:
+    """An indicator rebuilt from x's binary support that fits within
+    `budget` (see `_fits`), or None.
 
     A start that fails usually holds all but one to three points of an
     answer, either in the right bins or moved as a block.  On the segment
@@ -432,8 +499,8 @@ def _repair(instance, x) -> np.ndarray | None:
     observed lag, each time adding the anchors {0, largest lag} and
     dropping what falls outside them.  On both geometries S is then
     tried as it is.  Each candidate is completed greedily to s points
-    (`_complete`); the first that fits the histogram exactly is returned.
-    One that already holds more than s points is left as it is and fails.
+    (`_complete`); the first that fits is returned.  One that already
+    holds more than s points is left as it is and fails.
     """
     op = instance.op
     support = np.flatnonzero(np.asarray(x) > 0.5)
@@ -449,34 +516,39 @@ def _repair(instance, x) -> np.ndarray | None:
     for bins in candidates:
         xb = np.zeros(instance.n)
         xb[bins] = 1.0
-        if _complete(instance, xb):
+        if _complete(instance, xb, budget):
             return xb
     return None
 
 
 def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveResult:
-    """Best-of-several-starts driver for either solver.
+    """Run either solver from several starts; the first that fits wins.
 
-    Runs config.restarts + 1 starts at most and returns the result with
-    the lowest final objective (earliest start wins ties), with
-    `starts_run` set to the number of starts that ran.  Hard-thresholding
-    starts grow the support from the anchored pair (see
-    `_guided_iht_start`); the baseline starts from the anchored pair plus
-    a random fill.  A start whose answer, rounded to an indicator, does
-    not reproduce the histogram gets one repair (`_repair`) of that
-    rounded support; a repaired indicator is solved once more by the
-    start's own solver, so the answer is a fixed point of its method's
-    iteration, and its `iterations` counts only that re-solve.  With
-    max_iters = 0 each start is returned as built, unrepaired.  Once the
-    best result reproduces the histogram exactly, remaining restarts are
-    skipped.  Numeric failures in individual starts are swallowed unless
-    every start fails.
+    Runs config.restarts + 1 starts at most.  A start fits when its
+    answer's rounded support holds s points whose L1 misfit is within
+    `misfit_budget(instance)`: exactly, on noise-free data.  The first
+    start that fits is returned and ends the restarts; if none does, the
+    one with the lowest final objective is (earliest start wins ties).
+    `starts_run` is set to the number of starts that ran, and
+    `total_iterations` to the Armijo steps of every start's descents.
+    Hard-thresholding starts grow the support from the anchored pair
+    (see `_guided_iht_start`); the baseline starts from the anchored pair
+    plus a random fill.  A start that does not fit gets one repair
+    (`_repair`) of its rounded support within the same budget; a
+    repaired indicator is solved once more by the start's own solver, so
+    the answer is a fixed point of its method's iteration, and its
+    `iterations` counts only that re-solve.  With max_iters = 0 each
+    start is returned as built, unrepaired.  Numeric failures in
+    individual starts are swallowed unless every start fails; their
+    steps are not counted.
     """
     if method not in ("iht", "l1pgd"):
         raise ValueError(f"unknown method {method!r}")
     solve = iht_solve if method == "iht" else l1pgd_solve
+    budget = misfit_budget(instance)
     best: SolveResult | None = None
     last_error: NumericError | None = None
+    total_iterations = 0
     for start in range(config.restarts + 1):
         try:
             if method == "iht":
@@ -484,21 +556,26 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
             else:
                 x0 = _anchored_support_start(instance, config.seed, start)
                 result = solve(instance, config, x0)
-            exact = is_exact_binary_fit(instance, result.x_final)
-            if not exact and config.max_iters > 0:
-                repaired = _repair(instance, result.x_final)
+            fit = _fits(instance, result.x_final, budget)
+            if not fit and config.max_iters > 0:
+                repaired = _repair(instance, result.x_final, budget)
                 if repaired is not None:
-                    result, exact = solve(instance, config, repaired), True
+                    total_iterations += result.total_iterations
+                    result = solve(instance, config, repaired)
+                    fit = _fits(instance, result.x_final, budget)
         except NumericError as err:
             last_error = err
             continue
+        total_iterations += result.total_iterations
         result.start_index = start
+        if fit:
+            best = result
+            break
         if best is None or result.f_final < best.f_final:
             best = result
-        if best is result and exact:
-            break
     if best is None:
         assert last_error is not None
         raise last_error
     best.starts_run = start + 1
+    best.total_iterations = total_iterations
     return best

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from udgp import NumericError
+from udgp import (Geometry, LagOperator, NumericError, SolverConfig,
+                  bins_to_positions, iht_solve)
 from udgp.cli import main
+from udgp.instances import Instance, save_instance
 
 
 def run(args):
@@ -43,6 +45,29 @@ class TestGenerate:
             run(["generate", "--geometry", "spiral", "--s", "4", "--n", "40",
                  "--xi", "0", "--seed", "0", "--out", str(tmp_path / "x")])
         assert err.value.code == 2
+
+
+# two 6-point sets on an 18-bin segment with the same histogram
+HOMOMETRIC_TRUTH = [0, 1, 4, 10, 12, 17]
+HOMOMETRIC_TWIN = [0, 1, 8, 11, 13, 17]
+
+
+def _homometric_instance():
+    n, geom = 18, Geometry.TURNPIKE
+    x = np.zeros(n)
+    x[HOMOMETRIC_TRUTH] = 1.0
+    return Instance(geometry=geom, n=n, s=6, y=LagOperator(n, geom).forward(x),
+                    true_positions=bins_to_positions(HOMOMETRIC_TRUTH, n, geom),
+                    noise_sigma=0.0, seed=0)
+
+
+def _answer(bins):
+    """A `multi_start` stand-in whose answer is the indicator of `bins`."""
+    def solve(instance, config, method="iht"):
+        x = np.zeros(instance.n)
+        x[bins] = 1.0
+        return iht_solve(instance, SolverConfig(max_iters=0), x)
+    return solve
 
 
 @pytest.fixture()
@@ -108,6 +133,48 @@ class TestSolve:
         assert rec["starts_run"] == rec["start_index"] + 1
         rec = json.loads(cut.read_text())
         assert rec["starts_run"] == 3 != rec["start_index"] + 1
+
+    def test_record_carries_misfit_and_budget(self, instance_file, tmp_path):
+        noisy = tmp_path / "noisy.json"
+        run(["generate", "--geometry", "turnpike", "--s", "10", "--n", "1000",
+             "--xi", "2e-4", "--seed", "90000", "--out", str(noisy)])
+        recs = {}
+        for name, flags in (("solved", ["--in", str(instance_file)]),
+                            ("cut", ["--in", str(instance_file), "--max-iters",
+                                     "0", "--restarts", "0"]),
+                            ("noisy", ["--in", str(noisy), "--seed", "1"])):
+            out = tmp_path / f"{name}.json"
+            assert run(["solve", *flags, "--out", str(out)]) == 0
+            recs[name] = json.loads(out.read_text())
+        assert (recs["solved"]["misfit"], recs["solved"]["misfit_budget"]) == (0, 0)
+        assert recs["cut"]["misfit"] > 0 == recs["cut"]["misfit_budget"]
+        # one distance crossed a half-bin: the true set misfits y by 2
+        assert (recs["noisy"]["misfit"], recs["noisy"]["misfit_budget"]) == (2, 8)
+        assert recs["noisy"]["co_p"] == 10 and not recs["noisy"]["exact_fit"]
+        for rec in recs.values():
+            assert rec["exact_fit"] == (rec["misfit"] == 0)
+
+    def test_record_counts_every_iteration(self, instance_file, tmp_path):
+        out = tmp_path / "res.json"
+        run(["solve", "--in", str(instance_file), "--seed", "2",
+             "--out", str(out)])
+        rec = json.loads(out.read_text())
+        assert rec["total_iterations"] > rec["iterations"]
+
+    def test_record_flags_homometric_answers(self, tmp_path, monkeypatch):
+        inst_path = tmp_path / "inst.json"
+        save_instance(_homometric_instance(), inst_path)
+        recs = {}
+        for name, bins in (("twin", HOMOMETRIC_TWIN),
+                           ("truth", HOMOMETRIC_TRUTH)):
+            monkeypatch.setattr("udgp.cli.multi_start", _answer(bins))
+            out = tmp_path / f"{name}.json"
+            assert run(["solve", "--in", str(inst_path), "--out", str(out)]) == 0
+            recs[name] = json.loads(out.read_text())
+        assert recs["twin"]["exact_fit"] and recs["twin"]["co_p"] < 6
+        assert recs["twin"]["homometric"] is True
+        assert recs["truth"]["co_p"] == 6
+        assert recs["truth"]["homometric"] is False
 
     def test_unreadable_instance_exits_3(self, tmp_path):
         code = run(["solve", "--in", str(tmp_path / "missing.json"),
@@ -214,6 +281,33 @@ class TestBench:
                     if not l.startswith("#")]
             column = rows[0].index("starts_run")
             assert [r[column] for r in rows[1:]] == [starts, starts]
+
+    def test_trials_record_work_misfit_and_homometric(self, tmp_path,
+                                                       monkeypatch):
+        out = tmp_path / "bench.csv"
+        trials = tmp_path / "bench.csv.trials.csv"
+
+        def rows():
+            table = [l.split(",") for l in trials.read_text().splitlines()
+                     if not l.startswith("#")]
+            return [dict(zip(table[0], r)) for r in table[1:]]
+
+        run(["bench", "--geometry", "turnpike", "--s", "10", "--n", "1000",
+             "--xi", "2e-4", "--trials", "2", "--seed", "1", "--methods",
+             "iht", "--out", str(out)])
+        for row in rows():
+            assert row["misfit_budget"] == "8"
+            assert int(row["total_iterations"]) >= int(row["iterations"])
+            assert row["exact_fit"] == str(row["misfit"] == "0").lower()
+            assert row["homometric"] == "false"
+        monkeypatch.setattr("udgp.cli.generate_instance",
+                            lambda *args: _homometric_instance())
+        monkeypatch.setattr("udgp.cli.multi_start", _answer(HOMOMETRIC_TWIN))
+        run(["bench", "--geometry", "turnpike", "--s", "6", "--n", "18",
+             "--trials", "1", "--methods", "iht", "--out", str(out)])
+        [row] = rows()
+        assert (row["misfit"], row["exact_fit"], row["homometric"]) == (
+            "0", "true", "true")
 
     def test_zero_trials_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"

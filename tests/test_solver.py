@@ -1,15 +1,20 @@
 """Hard-thresholding solver: line search, stopping, diagnostics, restarts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import (check_l_stationarity_loop, descend_reference,
                      project_sparse_box_two_scan, random_support_start)
 from udgp import (Geometry, NumericError, SolverConfig, StopReason,
-                  armijo_step, check_l_stationarity, extract_positions,
-                  generate_instance, iht_solve, is_exact_binary_fit,
-                  multi_start, project_capped_simplex, project_sparse_box,
-                  score_recovery, stationarity_residual)
+                  armijo_step, binary_misfit, check_l_stationarity,
+                  extract_positions, generate_instance, iht_solve,
+                  is_exact_binary_fit, misfit_budget, multi_start,
+                  project_capped_simplex, project_sparse_box, score_recovery,
+                  stationarity_residual)
+from udgp import solver
+from udgp.cli import BENCH_NOISE
 from udgp.instances import Instance
 from udgp.solver import _addition_scores, _descend, _repair
 
@@ -351,6 +356,23 @@ class TestMultiStart:
         with pytest.raises(ValueError):
             multi_start(inst, SolverConfig(), method="newton")
 
+    def test_total_iterations_count_every_armijo_step(self, monkeypatch):
+        """Every start, growth stage and repair re-solve is counted, not
+        only the winning start's last descent."""
+        steps = [0]
+        armijo_step = solver.armijo_step
+
+        def counted_armijo_step(*args, **kwargs):
+            step = armijo_step(*args, **kwargs)
+            steps[0] += 1
+            return step
+
+        monkeypatch.setattr(solver, "armijo_step", counted_armijo_step)
+        inst = generate_instance(Geometry.BELTWAY, 10, 1000, 0.0, 90009)
+        res = multi_start(inst, SolverConfig(seed=154))
+        assert res.total_iterations == steps[0] > res.iterations
+        assert res.starts_run > 1
+
     def test_all_starts_failing_raises(self):
         inst = small_instance()
         bad = Instance(geometry=inst.geometry, n=inst.n, s=inst.s,
@@ -459,3 +481,69 @@ class TestRepair:
                         repeats[geom] += lags.size - np.unique(lags).size
                     assert np.all(np.isinf(score[support]))
         assert min(repeats.values()) > 0 and opposite > 0
+
+
+
+def _perturbed(geom, s, n, xi, seed):
+    """The instance at noise xi, or None if the noise left y unchanged."""
+    inst = generate_instance(geom, s, n, xi, seed)
+    clean = generate_instance(geom, s, n, 0.0, seed)
+    return None if np.array_equal(inst.y, clean.y) else inst
+
+
+class TestNoiseBudget:
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_zero_at_published_noise_and_past_the_cap(self, geom):
+        """No noise, the published levels (p ~ 1e-12 at (10,1000)) and
+        xi = 5e-4, where q crossings would cost as much as a missing
+        point, all keep the exact-fit rule."""
+        for seed in (90000, 90001):
+            for xi in BENCH_NOISE + [5e-4]:
+                assert misfit_budget(generate_instance(geom, 10, 1000, xi,
+                                                       seed)) == 0
+        # so wide that erfc rounds p to 1: every distance crosses
+        inst = generate_instance(geom, 10, 1000, 0.0, 90000)
+        assert misfit_budget(replace(inst, noise_sigma=1e20)) == 0
+
+    @pytest.mark.parametrize("geom,s,n,xi,budget", [
+        (Geometry.TURNPIKE, 10, 1000, 2e-4, 8),
+        (Geometry.BELTWAY, 10, 1000, 2e-4, 16),
+        (Geometry.TURNPIKE, 20, 2000, 1e-4, 16),
+        (Geometry.BELTWAY, 20, 2000, 1e-4, 32),
+    ])
+    def test_two_or_four_per_likely_crossing(self, geom, s, n, xi, budget):
+        inst = generate_instance(geom, s, n, xi, 90000)
+        assert misfit_budget(inst) == budget
+        assert budget < (s - 1) * (2 if geom is Geometry.BELTWAY else 1)
+
+    def test_perturbed_instances_fit_within_two_starts(self):
+        """Every histogram that xi = 2e-4 moved, seeds 90000-90019, ends at
+        its true set; without the budget all 50 starts ran."""
+        solved = 0
+        for geom in Geometry:
+            for seed in range(90000, 90020):
+                inst = _perturbed(geom, 10, 1000, 2e-4, seed)
+                if inst is None:
+                    continue
+                res = multi_start(inst, SolverConfig(seed=17 * (seed - 90000) + 1))
+                assert res.starts_run <= 2
+                assert 0 < binary_misfit(inst, res.x_final) <= misfit_budget(inst)
+                rep = score_recovery(
+                    extract_positions(res.x_final, inst.n, inst.geometry), inst)
+                assert rep.co_p == inst.s
+                solved += 1
+        assert solved >= 10
+
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_repair_restores_a_dropped_point_on_noisy_data(self, geom):
+        inst = _perturbed(geom, 10, 1000, 2e-4, 90002)
+        truth = inst.true_indicator()
+        assert binary_misfit(inst, truth) > 0
+        x = truth.copy()
+        x[inst.true_bins()[4]] = 0.0
+        assert _repair(inst, x) is None
+        repaired = _repair(inst, x, misfit_budget(inst))
+        assert binary_misfit(inst, repaired) == binary_misfit(inst, truth)
+        rep = score_recovery(
+            extract_positions(repaired, inst.n, inst.geometry), inst)
+        assert rep.co_p == inst.s
