@@ -17,9 +17,8 @@ from .projections import (capped_simplex_with_multiplier,
 from .solver import (BacktrackExhausted, NumericError, SolveResult,
                      SolverConfig, StationarityReport, StopReason,
                      anchor_bins, armijo_step, binary_misfit,
-                     check_l_stationarity, iht_solve, is_exact_binary_fit,
-                     l1pgd_solve, misfit_budget, multi_start,
-                     stationarity_residual)
+                     check_l_stationarity, iht_solve, l1pgd_solve,
+                     misfit_budget, multi_start, stationarity_residual)
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,6 @@ __all__ = [
     "generate_instance",
     "iht_solve",
     "instance_from_json",
-    "is_exact_binary_fit",
     "instance_to_json",
     "l1pgd_solve",
     "load_instance",

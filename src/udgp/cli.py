@@ -97,21 +97,40 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _solve_and_score(instance, config, method):
-    """(result, report, solve seconds, fit) for one solve; fit holds the
-    answer's `misfit`, the `misfit_budget`, `exact_fit` (misfit 0) and
-    `homometric` (an exact fit that recovers fewer than s points: another
-    set with the same histogram, not a solver failure)."""
+# the solve record fields a trials row carries, in column order
+TRIAL_FIELDS = ["co_p", "wall_time_seconds", "f_final", "iterations",
+                "total_iterations", "starts_run", "stop_reason", "misfit",
+                "misfit_budget", "homometric", "exact_fit"]
+
+
+def _solve_and_score(instance, config, method) -> dict:
+    """The record of one solve.  `misfit` is the answer's binary misfit,
+    `exact_fit` says it is 0, and `homometric` marks an exact fit that
+    recovers fewer than s points: another set with the same histogram,
+    not a solver failure.  The time covers `multi_start` only."""
     t0 = time.perf_counter()
     result = multi_start(instance, config, method=method)
-    solve_seconds = time.perf_counter() - t0
+    wall_time_seconds = time.perf_counter() - t0
     estimated = extract_positions(result.x_final, instance.n, instance.geometry)
     report = score_recovery(estimated, instance)
     misfit = int(binary_misfit(instance, result.x_final))
-    fit = {"misfit": misfit, "misfit_budget": misfit_budget(instance),
-           "exact_fit": misfit == 0,
-           "homometric": misfit == 0 and report.co_p < instance.s}
-    return result, report, solve_seconds, fit
+    return {
+        "co_p": report.co_p,
+        "wall_time_seconds": wall_time_seconds,
+        "f_final": result.f_final,
+        "iterations": result.iterations,
+        "total_iterations": result.total_iterations,
+        "starts_run": result.starts_run,
+        "stop_reason": result.stop_reason.value,
+        "misfit": misfit,
+        "misfit_budget": misfit_budget(instance),
+        "homometric": misfit == 0 and report.co_p < instance.s,
+        "exact_fit": misfit == 0,
+        "estimated_positions": [float(v) for v in report.estimated_positions],
+        "stationarity_residual": result.stationarity_residual,
+        "alignment": report.alignment,
+        "start_index": result.start_index,
+    }
 
 
 def cmd_solve(args) -> int:
@@ -125,34 +144,16 @@ def cmd_solve(args) -> int:
     except ValueError as err:
         print(f"udgp solve: {err}", file=sys.stderr)
         return 2
-    result, report, solve_seconds, fit = _solve_and_score(instance, config,
-                                                          args.method)
-    record = {
-        "method": args.method,
-        "geometry": instance.geometry.value,
-        "n": instance.n,
-        "s": instance.s,
-        "xi": instance.noise_sigma,
-        "solver_seed": args.seed,
-        "co_p": report.co_p,
-        "f_final": result.f_final,
-        "iterations": result.iterations,
-        "total_iterations": result.total_iterations,
-        "wall_time_seconds": solve_seconds,
-        "stop_reason": result.stop_reason.value,
-        **fit,
-        "estimated_positions": [float(v) for v in report.estimated_positions],
-        "stationarity_residual": result.stationarity_residual,
-        "alignment": report.alignment,
-        "start_index": result.start_index,
-        "starts_run": result.starts_run,
-    }
+    rec = _solve_and_score(instance, config, args.method)
+    record = {"method": args.method, "geometry": instance.geometry.value,
+              "n": instance.n, "s": instance.s, "xi": instance.noise_sigma,
+              "solver_seed": args.seed, **rec}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    print(f"method={args.method} co_p={report.co_p}/{instance.s} "
-          f"f={result.f_final:.3e} iters={result.iterations} "
-          f"time={solve_seconds:.3f}s stop={result.stop_reason.value}")
+    print(f"method={args.method} co_p={rec['co_p']}/{instance.s} "
+          f"f={rec['f_final']:.3e} iters={rec['iterations']} "
+          f"time={rec['wall_time_seconds']:.3f}s stop={rec['stop_reason']}")
     return 0
 
 
@@ -229,19 +230,12 @@ def cmd_bench(args) -> int:
                 inst_seed, solver_seed = _trial_seeds(args.seed, cell_index, trial)
                 instance = generate_instance(geometry, s, n, xi, inst_seed)
                 config = _config_from_args(args, solver_seed)
-                result, report, solve_seconds, fit = _solve_and_score(
-                    instance, config, method)
-                cops.append(report.co_p)
-                times.append(solve_seconds)
-                trial_rows.append([
-                    geometry.value, s, n, f"{xi:g}", method, trial, inst_seed,
-                    report.co_p, f"{solve_seconds:.6f}",
-                    f"{result.f_final:.6e}", result.iterations,
-                    result.total_iterations, result.starts_run,
-                    result.stop_reason.value, fit["misfit"],
-                    fit["misfit_budget"], str(fit["homometric"]).lower(),
-                    str(fit["exact_fit"]).lower(),
-                ])
+                rec = _solve_and_score(instance, config, method)
+                cops.append(rec["co_p"])
+                times.append(rec["wall_time_seconds"])
+                trial_rows.append([geometry.value, s, n, f"{xi:g}", method,
+                                   trial, inst_seed,
+                                   *(rec[k] for k in TRIAL_FIELDS)])
             if args.trials > 0:
                 mean_times[method] = float(np.mean(times))
                 mean_rows.append([
@@ -255,9 +249,7 @@ def cmd_bench(args) -> int:
     header = ["geometry", "s", "n", "xi", "method", "mean_co_p", "mean_time_s",
               "trials", "time_ratio_iht_vs_l1pgd"]
     trial_header = ["geometry", "s", "n", "xi", "method", "trial", "seed",
-                    "co_p", "time_s", "f_final", "iterations",
-                    "total_iterations", "starts_run", "stop_reason", "misfit",
-                    "misfit_budget", "homometric", "exact_fit"]
+                    *TRIAL_FIELDS]
     comments = _config_comments(args, base_config, methods)
     _write_csv(args.out, comments, header, mean_rows)
     _write_csv(_trials_path(args.out), comments, trial_header, trial_rows)
@@ -286,8 +278,9 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
         for line in comments:
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        for row in rows:  # booleans as true/false, floats in full
+            fh.write(",".join(str(v).lower() if isinstance(v, bool) else str(v)
+                              for v in row) + "\n")
 
 
 def main(argv=None) -> int:

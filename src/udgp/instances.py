@@ -18,6 +18,7 @@ gap of it in bins, under the best of those symmetries found exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,8 +70,12 @@ def check_cell(s: int, n: int, xi: float) -> None:
         raise ValueError(f"need at least 2 points, got s={s}")
     if n < 2 * s:
         raise ValueError(f"grid too coarse: need n >= 2s, got n={n}, s={s}")
-    if xi < 0.0:
-        raise ValueError(f"noise level must be nonnegative, got {xi}")
+    _check_noise(xi)
+
+
+def _check_noise(xi: float) -> None:
+    if not 0.0 <= xi < math.inf:  # NaN fails too
+        raise ValueError(f"noise level must be finite and nonnegative, got {xi}")
 
 
 def generate_instance(geometry: Geometry, s: int, n: int, xi: float,
@@ -252,28 +257,30 @@ def score_recovery(estimated, instance: Instance) -> RecoveryReport:
 # ---- on-disk record ----
 
 def instance_to_json(instance: Instance) -> str:
-    """Single-record JSON text; positions carry 17 significant digits."""
-    pos = ", ".join(format(v, ".17g") for v in instance.true_positions)
-    counts = ", ".join(str(int(round(v))) for v in instance.y)
-    return (
-        "{"
-        f'"geometry": "{instance.geometry.value}", '
-        f'"n": {instance.n}, "s": {instance.s}, '
-        f'"xi": {format(instance.noise_sigma, ".17g")}, '
-        f'"seed": {instance.seed}, '
-        f'"true_positions": [{pos}], '
-        f'"y": [{counts}]'
-        "}\n"
-    )
+    """Single-record JSON text; floats are written as their shortest exact
+    repr, and a non-finite one raises ValueError."""
+    return json.dumps({
+        "geometry": instance.geometry.value,
+        "n": int(instance.n), "s": int(instance.s),
+        "xi": float(instance.noise_sigma),
+        "seed": int(instance.seed),
+        "true_positions": [float(v) for v in instance.true_positions],
+        "y": [int(round(v)) for v in instance.y],
+    }, allow_nan=False) + "\n"
 
 
 def instance_from_json(text: str) -> Instance:
-    """Parse one record, rejecting any whose histogram no s points make or
-    whose true positions are not s distinct grid bins of the unit segment
-    or circle."""
+    """Parse one record, rejecting any whose n, s or seed is not an
+    integer, whose xi is not finite and nonnegative, whose histogram no s
+    points make or whose true positions are not s distinct grid bins of
+    the unit segment or circle."""
     rec = json.loads(text)
     geometry = Geometry(rec["geometry"])
-    n, s = int(rec["n"]), int(rec["s"])
+    n, s, seed, xi = rec["n"], rec["s"], rec["seed"], float(rec["xi"])
+    if not all(type(v) is int for v in (n, s, seed)):  # no float, bool or str
+        raise ValueError("n, s and seed must be integers, got "
+                         f"{n!r}, {s!r}, {seed!r}")
+    _check_noise(xi)
     y = np.asarray(rec["y"], dtype=float)
     pos = np.asarray(rec["true_positions"], dtype=float)
     if y.shape != (n - 1,):
@@ -295,7 +302,7 @@ def instance_from_json(text: str) -> Instance:
         raise ValueError("true positions must lie in distinct grid bins of "
                          "the unit segment or circle")
     return Instance(geometry=geometry, n=n, s=s, y=y, true_positions=pos,
-                    noise_sigma=float(rec["xi"]), seed=int(rec["seed"]))
+                    noise_sigma=xi, seed=seed)
 
 
 def save_instance(instance: Instance, path) -> None:

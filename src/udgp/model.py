@@ -34,6 +34,7 @@ forward pass nor a support scan of its own.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,14 +53,10 @@ def _next_pow2(k: int) -> int:
     return p
 
 
-_pair_index_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached upper-triangle index pair for k support points."""
-    if k not in _pair_index_cache:
-        _pair_index_cache[k] = np.triu_indices(k, 1)
-    return _pair_index_cache[k]
+    return np.triu_indices(k, 1)
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,7 @@ class LagOperator:
     # ---- sparse-support path ----
 
     def _forward_sparse(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
-        if support.size < 2:
+        if support.size < 2:  # no pairs: bincount of no lags would be int64
             return np.zeros(self.m)
         v = x[support]
         i, j = _pair_indices(support.size)
@@ -196,7 +193,7 @@ class LagOperator:
                          r: np.ndarray) -> np.ndarray:
         n = self.n
         ri = np.flatnonzero(r)
-        if ri.size == 0 or support.size == 0:
+        if ri.size == 0 or support.size == 0:  # bincount of no terms is int64
             return np.zeros(n)
         lag = ri + 1
         w = (x[support][:, None] * r[ri][None, :]).ravel()

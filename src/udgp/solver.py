@@ -108,7 +108,6 @@ class SolveResult:
     step_size_trace: np.ndarray        # accepted tau per iteration
     backtrack_trace: np.ndarray        # accepted backtrack exponent per iteration
     step_norm_trace: np.ndarray        # ||x_{k+1} - x_k|| per iteration
-    final_step_norm: float             # last step norm at stop; nan if no step ran
     stationarity_residual: float
     stop_reason: StopReason
     start_index: int = 0
@@ -122,6 +121,12 @@ class SolveResult:
     @property
     def iterations(self) -> int:
         return len(self.step_size_trace)
+
+    @property
+    def final_step_norm(self) -> float:
+        """Last step norm at stop; nan if no step ran."""
+        trace = self.step_norm_trace
+        return float(trace[-1]) if trace.size else math.nan
 
 
 class Step(NamedTuple):
@@ -187,7 +192,6 @@ def _descend(instance, config, x0, project) -> SolveResult:
     bt_trace: list[int] = []
     step_trace: list[float] = []
     stop = StopReason.MAX_ITERS
-    final_step = math.nan
     last_tau = config.gamma
     for k in range(config.max_iters):
         if not math.isfinite(f_x):
@@ -200,14 +204,13 @@ def _descend(instance, config, x0, project) -> SolveResult:
         except BacktrackExhausted:
             stop = StopReason.BACKTRACK_EXHAUSTED
             break
-        final_step = math.sqrt(step.step_sq)
         x, f_x, r, support = step.x, step.f, step.r, step.support
         obj_trace.append(f_x)
         tau_trace.append(step.tau)
         bt_trace.append(step.t)
-        step_trace.append(final_step)
+        step_trace.append(math.sqrt(step.step_sq))
         last_tau = step.tau
-        if final_step <= config.epsilon:
+        if step_trace[-1] <= config.epsilon:
             stop = StopReason.CONVERGED
             break
     resid = _fixed_point_residual(x, last_tau, instance, project, r, support)
@@ -217,7 +220,6 @@ def _descend(instance, config, x0, project) -> SolveResult:
         step_size_trace=np.asarray(tau_trace),
         backtrack_trace=np.asarray(bt_trace, dtype=int),
         step_norm_trace=np.asarray(step_trace),
-        final_step_norm=final_step,
         stationarity_residual=resid,
         stop_reason=stop,
         total_iterations=len(tau_trace),
@@ -315,17 +317,6 @@ def binary_misfit(instance, x) -> float:
     """
     xb = (np.asarray(x, dtype=float) > 0.5).astype(float)
     return float(np.abs(np.rint(instance.op.forward(xb)) - instance.y).sum())
-
-
-def is_exact_binary_fit(instance, x) -> bool:
-    """Whether rounding x to an indicator reproduces the histogram exactly.
-
-    This is the decisive recovery check on noise-free data: a rounded
-    iterate either matches the integer lag counts or it does not, with no
-    tolerance involved.  More than s points make more pairs than y
-    counts, so they never fit.
-    """
-    return binary_misfit(instance, x) == 0.0
 
 
 _NOISE_TAIL = 1e-3  # chance that noise alone misfits the true set past the budget

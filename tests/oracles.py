@@ -89,7 +89,6 @@ def descend_reference(instance, config, x0, project) -> SolveResult:
     f_x = op.objective(x, y)
     obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
-    final_step = math.nan
     last_tau = config.gamma
     for _ in range(config.max_iters):
         grad = op.gradient(x, y)
@@ -118,7 +117,6 @@ def descend_reference(instance, config, x0, project) -> SolveResult:
         step_size_trace=np.asarray(tau_trace),
         backtrack_trace=np.asarray(bt_trace, dtype=int),
         step_norm_trace=np.asarray(step_trace),
-        final_step_norm=final_step,
         stationarity_residual=resid,
         stop_reason=stop,
     )

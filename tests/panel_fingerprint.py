@@ -8,9 +8,10 @@ For each of the four workloads in `perfbench/workloads.py` it solves every
 instance of `build_panel(udgp, workload, 0)` with
 `multi_start(instance, SolverConfig(seed=item.solver_seed), method)` and
 prints the workload, the instance label, the sha256 of the `x_final`
-bytes, `repr(f_final)`, `start_index`, `iterations`, `stop_reason` and
-`repr(stationarity_residual)`.  Two checkouts whose outputs are identical
-give bit-identical answers on all 32 panel instances.  Like
+bytes, `repr(f_final)`, `start_index`, `iterations`, `stop_reason`,
+`repr(stationarity_residual)`, `starts_run` and `total_iterations`.  Two
+checkouts whose outputs are identical give bit-identical answers, reached
+with the same work, on all 32 panel instances.  Like
 `perfbench/run.py`, the script pins the BLAS and OpenMP pools to one
 thread, which keeps the floating-point reduction order fixed, and puts
 `src/` and `perfbench/` on the import path before NumPy loads.  It takes
@@ -46,7 +47,8 @@ def fingerprint_lines():
             yield (f"{workload.name} | {item.label} | {digest} | "
                    f"{result.f_final!r} | {result.start_index} | "
                    f"{result.iterations} | {result.stop_reason.value} | "
-                   f"{result.stationarity_residual!r}")
+                   f"{result.stationarity_residual!r} | "
+                   f"{result.starts_run} | {result.total_iterations}")
 
 
 def main() -> int:

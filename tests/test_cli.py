@@ -40,6 +40,14 @@ class TestGenerate:
                     "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_non_finite_noise_is_usage_error(self, tmp_path):
+        out = tmp_path / "x.json"
+        for xi in ("nan", "inf"):
+            assert run(["generate", "--geometry", "turnpike", "--s", "4",
+                        "--n", "40", "--xi", xi, "--seed", "0",
+                        "--out", str(out)]) == 2
+            assert not out.exists()
+
     def test_bad_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["generate", "--geometry", "spiral", "--s", "4", "--n", "40",
@@ -176,7 +184,7 @@ class TestSolve:
         assert recs["truth"]["co_p"] == 6
         assert recs["truth"]["homometric"] is False
 
-    def test_unreadable_instance_exits_3(self, tmp_path):
+    def test_unreadable_instance_exits_3(self, instance_file, tmp_path):
         code = run(["solve", "--in", str(tmp_path / "missing.json"),
                     "--out", str(tmp_path / "res.json")])
         assert code == 3
@@ -188,9 +196,10 @@ class TestSolve:
         off_segment = dict(counts, true_positions=[-3.0, 0.5, 7.0, 0.2],
                            y=[0] * 33 + [1] * 6)
         shared_bin = dict(off_segment, true_positions=[0.0, 0.1, 0.1, 0.7])
+        nan_noise = dict(json.loads(instance_file.read_text()), xi=float("nan"))
         for i, text in enumerate(["{not json", json.dumps(single),
                                   json.dumps(counts), json.dumps(off_segment),
-                                  json.dumps(shared_bin)]):
+                                  json.dumps(shared_bin), json.dumps(nan_noise)]):
             bad = tmp_path / f"bad{i}.json"
             bad.write_text(text)
             assert run(["solve", "--in", str(bad),
@@ -354,6 +363,10 @@ class TestBench:
         (["--geometry", "turnpike", "--s", "4", "--n", "40",
           "--scales", "10:1000"], "--scales"),
         (["--xi", "1e-5"], "--xi"),
+        (["--geometry", "beltway", "--s", "4", "--n", "40",
+          "--xi", "nan"], "--xi"),
+        (["--geometry", "turnpike", "--s", "4", "--n", "40",
+          "--xi", "inf"], "--xi"),
     ])
     def test_invalid_cell_exits_2_before_solving(self, flags, named,
                                                   tmp_path, capsys):

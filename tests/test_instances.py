@@ -342,6 +342,12 @@ class TestSerialization:
         inst = generate_instance(Geometry.TURNPIKE, 5, 64, 0.0, 1)
         assert instance_to_json(inst) == instance_to_json(inst)
 
+    def test_non_finite_value_raises_instead_of_writing_invalid_json(self):
+        inst = generate_instance(Geometry.TURNPIKE, 5, 64, 0.0, 1)
+        inst.noise_sigma = float("nan")
+        with pytest.raises(ValueError):
+            instance_to_json(inst)
+
     def test_rejects_inconsistent_record(self):
         def resize(rec, s):  # keeps the histogram mass right for s points
             pairs = s * (s - 1) // (1 if rec["geometry"] == "beltway" else 2)
@@ -363,6 +369,12 @@ class TestSerialization:
             lambda rec: rec["true_positions"].__setitem__(0, -0.25),
             lambda rec: rec["true_positions"].__setitem__(4, 1.5),
             lambda rec: rec["true_positions"].pop(),        # one position short
+            lambda rec: rec.update(n=64.5),                 # non-integral n
+            lambda rec: rec.update(s=5.7),                  # non-integral s
+            lambda rec: rec.update(seed=1.5),               # non-integral seed
+            lambda rec: rec.update(xi=-1e-5),               # negative noise
+            lambda rec: rec.update(xi=float("nan")),        # NaN noise
+            lambda rec: rec.update(xi=float("inf")),        # infinite noise
         ]
         for geometry in Geometry:
             text = instance_to_json(generate_instance(geometry, 5, 64, 0.0, 1))

@@ -194,6 +194,20 @@ class TestGradient:
             op.gradient(np.zeros(5), np.zeros(5))
 
 
+@pytest.mark.parametrize("geom", list(Geometry))
+def test_kernels_return_float64_without_pairs_or_residual(geom):
+    """Supports of 0 and 1 points make no pair, and a zero residual no
+    gradient term; the pair path must still return float64 arrays."""
+    n = 12
+    op = LagOperator(n, geom)
+    y = op.forward(indicator(n, [0, 3, 7]))
+    for x in (np.zeros(n), indicator(n, [5])):
+        assert op.forward(x).dtype == np.float64
+        assert op.gradient(x, y).dtype == np.float64
+    x = indicator(n, [0, 3, 7])  # r = 0
+    assert op.gradient(x, y).dtype == np.float64
+
+
 def test_operator_validation():
     with pytest.raises(ValueError):
         LagOperator(1, Geometry.TURNPIKE)

@@ -10,9 +10,8 @@ from oracles import (check_l_stationarity_loop, descend_reference,
 from udgp import (Geometry, NumericError, SolverConfig, StopReason,
                   armijo_step, binary_misfit, check_l_stationarity,
                   extract_positions, generate_instance, iht_solve,
-                  is_exact_binary_fit, misfit_budget, multi_start,
-                  project_capped_simplex, project_sparse_box, score_recovery,
-                  stationarity_residual)
+                  misfit_budget, multi_start, project_capped_simplex,
+                  project_sparse_box, score_recovery, stationarity_residual)
 from udgp import solver
 from udgp.cli import BENCH_NOISE
 from udgp.instances import Instance
@@ -346,7 +345,7 @@ class TestMultiStart:
         inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 42)
         res = multi_start(inst, SolverConfig(seed=7))
         assert res.f_final <= 1e-10
-        assert is_exact_binary_fit(inst, res.x_final)
+        assert binary_misfit(inst, res.x_final) == 0
         rep = score_recovery(
             extract_positions(res.x_final, inst.n, inst.geometry), inst)
         assert rep.co_p == 10
@@ -403,7 +402,7 @@ class TestRepair:
         start 21, before each failed start was repaired."""
         inst = generate_instance(geom, s, n, 0.0, seed)
         res = multi_start(inst, SolverConfig(seed=solver_seed))
-        assert is_exact_binary_fit(inst, res.x_final)
+        assert binary_misfit(inst, res.x_final) == 0
         assert res.starts_run == res.start_index + 1 <= 7
         rep = score_recovery(extract_positions(res.x_final, n, geom), inst)
         assert rep.co_p == s
@@ -426,7 +425,7 @@ class TestRepair:
         bins = inst.true_bins() - inst.true_bins().min()
         moved = bins[1:] + 23
         left = _indicator(inst.n, np.append(moved - moved.min(), bins[-1]))
-        assert not is_exact_binary_fit(inst, left)
+        assert binary_misfit(inst, left) > 0
         np.testing.assert_array_equal(_repair(inst, _indicator(inst.n, moved)),
                                       _indicator(inst.n, bins))
 
