@@ -12,45 +12,40 @@ objective f(x) = (1/m) * sum_i (y_i(x) - y_i)^2 with m = n-1, and its
 exact gradient.
 
 The shift matrices behind the quadratic form are never materialized; all
-maps are correlation loops.  Each operation has two evaluation paths:
-
-* a pair-enumeration path, which costs O(nnz^2 + n) for the forward map
-  and O(nnz(x) * nnz(r)) for the gradient,
-* an FFT path, which costs O(n log n) whatever the density.
-
-The dispatching methods on `LagOperator` pick between them by support
-size alone: pairs while nnz(x)^2 is within `_sparse_budget`, FFT beyond
-it.  At the published sizes (s <= 30) every hard-thresholded iterate
-takes the pair path, and so do the late iterates of the l1 baseline,
-whose mass concentrates on a few dozen bins.  Both paths agree to 1e-10
-absolute with the direct O(n*m) per-lag reference loop, which lives in
-`tests/oracles.py`.
-
-A solver that has just evaluated an iterate keeps what `evaluate` hands
-back -- the objective, the residual r = forward(x) - y and the support --
-and passes r and the support to `gradient`, which then runs neither a
-forward pass nor a support scan of its own.
+maps are correlations.  `LagOperator` picks each map's path from the
+support size k = nnz(x).  The forward map enumerates point pairs, at
+O(k^2 + n), while k^2 is within `_pairs`' budget.  The gradient sums, at
+O(k*n) whatever the residual's density, the length-n windows of one lag
+row built from the residual, weighted by x, while k*n is within
+`_window_budget`.  Beyond those, both correlate by FFT at O(n log n).  At
+the published sizes (s <= 30) every hard-thresholded iterate takes the
+pair and window paths, and so do the late iterates of the l1 baseline,
+whose mass concentrates on a few dozen bins.  Those two paths are exact
+on binary x with integer y, and every path agrees to 1e-10 absolute with
+the direct per-lag reference loops in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+# The window gradient costs about k*n, the FFT one L*log2(L) plus a per-call
+# cost; the window runs while k*n <= _WINDOW_PER_FFT * L*log2(L) +
+# _WINDOW_PER_CALL, fitted to the break-even points that
+# tests/gradient_costs.py prints (x86, NumPy 2.4.6, one BLAS thread).
+_WINDOW_PER_FFT = 4.0
+_WINDOW_PER_CALL = 1 << 16
+_BLOCK_ENTRIES = 1 << 17
+
 
 class Geometry(Enum):
     TURNPIKE = "turnpike"
     BELTWAY = "beltway"
-
-
-def _next_pow2(k: int) -> int:
-    p = 1
-    while p < k:
-        p *= 2
-    return p
 
 
 @functools.cache
@@ -86,16 +81,15 @@ class LagOperator:
     def circular(self) -> bool:
         return self.geometry is Geometry.BELTWAY
 
-    # fft length: circular correlation needs n; linear needs >= 2n-1
-    @property
+    # fft length: n on the circle, a power of two >= 2n-1 on the segment
+    @functools.cached_property
     def _fft_len(self) -> int:
-        return self.n if self.circular else _next_pow2(2 * self.n - 1)
+        return self.n if self.circular else 1 << (2 * self.n - 2).bit_length()
 
-    # prefer exact pair enumeration up to this nnz^2; the 4096 floor keeps
-    # every n <= 64 evaluation integer-exact regardless of density
-    @property
-    def _sparse_budget(self) -> int:
-        return max(4 * self.n, 4096)
+    @functools.cached_property
+    def _window_budget(self) -> float:
+        L = self._fft_len
+        return _WINDOW_PER_FFT * L * math.log2(L) + _WINDOW_PER_CALL
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -110,8 +104,13 @@ class LagOperator:
         return y
 
     def _pairs(self, support: np.ndarray) -> bool:
-        """Whether a support this size takes the pair-enumeration path."""
-        return support.size * support.size <= self._sparse_budget
+        """Whether a support this size takes the pair-enumeration forward map;
+        the 4096 floor keeps every n <= 64 evaluation integer-exact."""
+        return support.size * support.size <= max(4 * self.n, 4096)
+
+    def _windows(self, support: np.ndarray) -> bool:
+        """Whether a support this size takes the window gradient."""
+        return support.size * self.n <= self._window_budget
 
     def _forward(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
         if self._pairs(support):
@@ -141,19 +140,19 @@ class LagOperator:
         """Exact gradient of `objective` with respect to x.
 
         Equals (2/m) * sum_i r_i * (shift_i + shift_i^T) x with
-        r = forward(x) - y, evaluated as two correlation passes over the
-        residual.  A caller that already holds r and the support
-        flatnonzero(x) of this same x (from `evaluate`) may pass them; the
-        result is bit-identical and skips the forward pass and the scan.
-        Without r, both come from `evaluate`.
+        r = forward(x) - y, evaluated as one correlation of x with a lag
+        row built from the residual.  A caller that already holds r and the
+        support flatnonzero(x) of this same x (from `evaluate`) may pass
+        them; the result is bit-identical and skips the forward pass and the
+        scan.  Without r, both come from `evaluate`.
         """
         x = self._check_x(x)
         if r is None:
             _, r, support = self.evaluate(x, y)
         elif support is None:
             support = np.flatnonzero(x)
-        if self._pairs(support):
-            return self._gradient_sparse(x, support, r)
+        if self._windows(support):
+            return self._gradient_window(x, support, r)
         return self._gradient_fft(x, r)
 
     # ---- FFT path ----
@@ -175,7 +174,7 @@ class LagOperator:
         conv = np.fft.irfft(np.fft.rfft(c) * np.fft.rfft(x, L), L)
         return (2.0 / self.m) * conv[:n]
 
-    # ---- sparse-support path ----
+    # ---- pair and window paths ----
 
     def _forward_sparse(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
         if support.size < 2:  # no pairs: bincount of no lags would be int64
@@ -189,25 +188,26 @@ class LagOperator:
             w = np.concatenate([w, w])
         return np.bincount(lags - 1, weights=w, minlength=self.m)
 
-    def _gradient_sparse(self, x: np.ndarray, support: np.ndarray,
+    def _gradient_window(self, x: np.ndarray, support: np.ndarray,
                          r: np.ndarray) -> np.ndarray:
+        # g_u = (2/m) * sum_{v in S} x_v * c(u - v): c is r at lag |u - v| on
+        # the segment, r_d + r_{n-d} at d = (u - v) mod n on the circle
         n = self.n
-        ri = np.flatnonzero(r)
-        if ri.size == 0 or support.size == 0:  # bincount of no terms is int64
-            return np.zeros(n)
-        lag = ri + 1
-        w = (x[support][:, None] * r[ri][None, :]).ravel()
-        w = np.concatenate([w, w])
-        # on the segment the indices u -/+ lag run from -(n-1) to 2n-2:
-        # offset them into 3n-2 bins and keep the middle n, which sums each
-        # bin in the same order as dropping the out-of-range entries first
-        base = support if self.circular else support + (n - 1)
-        idx = np.concatenate([(base[:, None] - lag[None, :]).ravel(),
-                              (base[:, None] + lag[None, :]).ravel()])
         if self.circular:
-            idx %= n
-            g = np.bincount(idx, weights=w, minlength=n)
+            c = np.concatenate(([0.0], r + r[::-1]))
+            c = np.concatenate((c, c))
+            starts = n - support
         else:
-            g = np.bincount(idx, weights=w, minlength=3 * n - 2)[n - 1:2 * n - 1]
+            c = np.concatenate((r[::-1], [0.0], r))
+            starts = (n - 1) - support
+        # read-only view with row j = c[j:j+n]; np.ndarray checks its bounds
+        # and costs less per call than as_strided
+        c.flags.writeable = False
+        rows = np.ndarray((c.size - n + 1, n), buffer=c, strides=c.strides * 2)
+        # gather in blocks of 1 MB, which stay in cache and bound the copy
+        xs, block = x[support], max(1, _BLOCK_ENTRIES // n)
+        g = xs[:block] @ rows[starts[:block]]
+        for i in range(block, support.size, block):
+            g += xs[i:i + block] @ rows[starts[i:i + block]]
         g *= 2.0 / self.m
         return g

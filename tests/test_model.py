@@ -27,6 +27,21 @@ def pair_histogram_oracle(n, bins, geometry):
     return y
 
 
+def integer_gradient(op, x, r):
+    """(m/2) times the gradient at a binary x with integer residual r, in
+    int64: each point v adds the residual at lag |u - v| (segment) or at
+    lags (u - v) mod n and (v - u) mod n (circle) to every bin u."""
+    r0 = np.concatenate([[0], np.rint(r).astype(np.int64)])  # lag 0 weighs 0
+    d = np.arange(op.n)
+    g = np.zeros(op.n, dtype=np.int64)
+    for v in np.flatnonzero(x):
+        if op.circular:
+            g += r0[(d - v) % op.n] + r0[(v - d) % op.n]
+        else:
+            g += r0[abs(d - v)]
+    return g
+
+
 class TestForward:
     def test_turnpike_two_points(self):
         op = LagOperator(5, Geometry.TURNPIKE)
@@ -141,7 +156,7 @@ class TestGradient:
                 assert abs(g[j] - fd) / max(1.0, abs(fd)) <= 1e-5
 
     def test_fast_paths_match_direct_reference(self):
-        """FFT and sparse evaluation agree with the lag-loop to 1e-10."""
+        """FFT, pair and window evaluation agree with the lag-loop to 1e-10."""
         rng = np.random.default_rng(5)
         for geom in Geometry:
             for n in [2, 3, 6, 17, 40, 64]:
@@ -162,22 +177,70 @@ class TestGradient:
                             op._gradient_fft(x, op._forward_fft(x) - y),
                             g_ref, atol=1e-10)
                         np.testing.assert_allclose(
-                            op._gradient_sparse(
+                            op._gradient_window(
                                 x, support, op._forward_sparse(x, support) - y),
                             g_ref, atol=1e-10)
 
+    @pytest.mark.parametrize("geom", list(Geometry))
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_window_and_fft_gradients_agree_at_large_n(self, geom, n):
+        """IHT-like iterates (10-20 binary points against the histogram of
+        a near set, so r is sparse) and baseline-like ones (30-100
+        fractional entries, dense r; 100 spans two gather blocks at n =
+        2000): the two gradient paths agree within 1e-10 * max(1, max|g|)."""
+        rng = np.random.default_rng(n + len(geom.value))
+        op = LagOperator(n, geom)
+        for _ in range(5):
+            for k in (10, 20):
+                truth = np.zeros(n)
+                truth[rng.choice(n, k, replace=False)] = 1.0
+                x = truth.copy()
+                x[rng.choice(np.flatnonzero(truth), 3, replace=False)] = 0.0
+                x[rng.choice(np.flatnonzero(truth == 0), 3, replace=False)] = 1.0
+                self._assert_paths_agree(op, x, op.forward(truth))
+            for k in (30, 60, 100):
+                x = np.zeros(n)
+                x[rng.choice(n, k, replace=False)] = rng.random(k)
+                self._assert_paths_agree(op, x, rng.random(n - 1) * 2.0)
+
+    @staticmethod
+    def _assert_paths_agree(op, x, y):
+        support = np.flatnonzero(x)
+        r = op.forward(x) - y
+        g = op._gradient_window(x, support, r)
+        tol = 1e-10 * max(1.0, float(np.abs(g).max()))
+        np.testing.assert_allclose(op._gradient_fft(x, r), g, rtol=0, atol=tol)
+
+    def test_window_gradient_is_exact_on_binary_iterates(self):
+        """Binary x and integer y: the window gradient is (2/m) times the
+        integer gradient summed in int64, bit for bit, and so equals the
+        direct reference, whose float sums are exact too."""
+        rng = np.random.default_rng(8)
+        for geom in Geometry:
+            for n in [2, 3, 17, 64, 1000]:
+                op = LagOperator(n, geom)
+                for _ in range(5):
+                    x = (rng.random(n) < 0.2).astype(float)
+                    y = rng.integers(0, 4, n - 1).astype(float)
+                    r = op.forward(x) - y
+                    g = op._gradient_window(x, np.flatnonzero(x), r)
+                    exact = (2.0 / op.m) * integer_gradient(op, x, r)
+                    assert g.tobytes() == exact.tobytes()
+                    assert g.tobytes() == gradient_direct(op, x, y).tobytes()
+
     def test_carried_residual_and_support_are_bit_identical(self):
         """gradient(x, y, r, support) with the pair from `evaluate` equals
-        gradient(x, y) exactly, on the pair path and the FFT path."""
+        gradient(x, y) exactly, on the window path and the FFT path."""
         rng = np.random.default_rng(21)
         for geom in Geometry:
-            op = LagOperator(300, geom)
+            op = LagOperator(1000, geom)
             y = rng.integers(0, 3, op.m).astype(float)
-            for nnz, pairs in ((8, True), (40, True), (120, False), (300, False)):
+            for nnz, windows in ((8, True), (40, True), (400, False),
+                                 (1000, False)):
                 x = np.zeros(op.n)
                 x[rng.choice(op.n, nnz, replace=False)] = rng.random(nnz) + 0.01
                 f, r, support = op.evaluate(x, y)
-                assert op._pairs(support) is pairs
+                assert op._windows(support) is windows
                 assert f == op.objective(x, y)
                 np.testing.assert_array_equal(r, op.forward(x) - y)
                 np.testing.assert_array_equal(support, np.flatnonzero(x))
@@ -197,7 +260,8 @@ class TestGradient:
 @pytest.mark.parametrize("geom", list(Geometry))
 def test_kernels_return_float64_without_pairs_or_residual(geom):
     """Supports of 0 and 1 points make no pair, and a zero residual no
-    gradient term; the pair path must still return float64 arrays."""
+    gradient term; the pair and window paths must still return float64
+    arrays."""
     n = 12
     op = LagOperator(n, geom)
     y = op.forward(indicator(n, [0, 3, 7]))

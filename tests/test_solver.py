@@ -104,11 +104,20 @@ class TestArmijoStep:
                 assert step.step_sq == float((x - step.x) @ (x - step.x))
 
 
+def _dense_start(n, s):
+    # dense and uneven: a uniform start is stationary on the circle
+    return project_capped_simplex(
+        np.random.default_rng(5).random(n) * 2 * s / n, s)
+
+
 def _descend_cases():
     """(label, instance, config, x0, library projection, reference projection)."""
     cases = []
     for geom in Geometry:
         inst = generate_instance(geom, 6, 200, 0.0, 11)
+        # every support of a 200-bin grid takes the window gradient; a dense
+        # start on 600 bins takes the FFT one
+        wide = generate_instance(geom, 6, 600, 0.0, 11)
         s, n = inst.s, inst.n
         box = (lambda z: project_sparse_box(z, s),
                lambda z: project_sparse_box_two_scan(z, s))
@@ -117,9 +126,7 @@ def _descend_cases():
         simplex = (lambda z: project_capped_simplex(z, s),) * 2
         anchored = np.zeros(n)
         anchored[[0, int(np.flatnonzero(inst.y).max()) + 1]] = 1.0
-        # dense and uneven: a uniform start is stationary on the circle
-        dense = project_capped_simplex(
-            np.random.default_rng(5).random(n) * 2 * s / n, s)
+        dense = _dense_start(n, s)
         binary = random_support_start(n, s, 2, 0)
         # delta = 10 rejects the first candidates of every step
         cases += [
@@ -128,7 +135,8 @@ def _descend_cases():
              SolverConfig(delta=10.0, max_iters=200), binary, *box),
             (f"{geom.value} stage sp=4", inst,
              SolverConfig(epsilon=1e-3, max_iters=300), anchored, *stage),
-            (f"{geom.value} simplex dense", inst, SolverConfig(), dense, *simplex),
+            (f"{geom.value} simplex dense", wide, SolverConfig(),
+             _dense_start(wide.n, s), *simplex),
             (f"{geom.value} simplex max_iters", inst, SolverConfig(max_iters=7),
              dense, *simplex),
             (f"{geom.value} simplex backtracks", inst,
@@ -159,9 +167,12 @@ class TestCarriedEvaluation:
         results = {c[0]: _descend(c[1], c[2], c[3], c[4]) for c in cases}
         for label, inst, _, x0, _, _ in cases:
             if label.endswith("simplex dense"):
-                # starts on the FFT path and ends on the pair path
-                assert not inst.op._pairs(np.flatnonzero(x0))
-                assert inst.op._pairs(np.flatnonzero(results[label].x_final))
+                # starts on the FFT paths and ends on the pair forward map
+                # and the window gradient
+                start = np.flatnonzero(x0)
+                end = np.flatnonzero(results[label].x_final)
+                assert not inst.op._pairs(start) and not inst.op._windows(start)
+                assert inst.op._pairs(end) and inst.op._windows(end)
         for geom in Geometry:
             stop = results[f"{geom.value} simplex max_iters"].stop_reason
             assert stop is StopReason.MAX_ITERS
