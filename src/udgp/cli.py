@@ -252,13 +252,9 @@ def cmd_bench(args) -> int:
                     *TRIAL_FIELDS]
     comments = _config_comments(args, base_config, methods)
     _write_csv(args.out, comments, header, mean_rows)
-    _write_csv(_trials_path(args.out), comments, trial_header, trial_rows)
+    _write_csv(args.out + ".trials.csv", comments, trial_header, trial_rows)
     print(f"wrote {len(mean_rows)} cell rows -> {args.out}")
     return 0
-
-
-def _trials_path(out: str) -> str:
-    return out + ".trials.csv"
 
 
 def _config_comments(args, config: SolverConfig, methods) -> list[str]:

@@ -134,19 +134,20 @@ class Step(NamedTuple):
 
     x: np.ndarray           # the accepted iterate x_next
     f: float                # f(x_next)
-    tau: float              # accepted step size gamma * alpha^t
+    tau: float              # accepted step size gamma * scale * alpha^t
     t: int                  # accepted backtrack exponent
     step_sq: float          # ||x - x_next||^2
     r: np.ndarray           # residual forward(x_next) - y
     support: np.ndarray     # flatnonzero(x_next)
 
 
-def armijo_step(x, grad, f_x, instance, config, project) -> Step:
+def armijo_step(x, grad, f_x, instance, config, project, scale=1.0) -> Step:
     """Smallest backtracking exponent passing the sufficient-decrease rule.
 
     Tries t = 0, 1, ..., max_backtracks; for each, forms the candidate
-    project(x - gamma * alpha^t * grad) and accepts the first one whose
-    objective drop is at least (delta/2) times the squared step length.
+    project(x - gamma * scale * alpha^t * grad) and accepts the first one
+    whose objective drop is at least (delta/2) times the squared step
+    length.  The solvers use scale 1, growth stages `_stage_scale`.
 
     Each candidate is evaluated once (`LagOperator.evaluate`), and the
     accepted one's residual and support come back in the `Step`, so the
@@ -155,7 +156,7 @@ def armijo_step(x, grad, f_x, instance, config, project) -> Step:
     """
     op, y = instance.op, instance.y
     for t in range(config.max_backtracks + 1):
-        tau = config.gamma * config.alpha**t
+        tau = config.gamma * scale * config.alpha**t
         x_next = project(x - tau * grad)
         f_next, r, support = op.evaluate(x_next, y)
         diff = x - x_next
@@ -176,8 +177,8 @@ def _fixed_point_residual(x, tau, instance, project, r=None, support=None) -> fl
     return float(np.linalg.norm(x - project(x - tau * g)))
 
 
-def _descend(instance, config, x0, project) -> SolveResult:
-    """Shared projected-gradient loop; `project` fixes the feasible set.
+def _descend(instance, config, x0, project, scale=1.0) -> SolveResult:
+    """Projected-gradient loop over `project`'s set, base step gamma * scale.
 
     x0 is evaluated once; after that each iterate's objective, residual
     and support come from the Armijo step that accepted it, so every
@@ -187,12 +188,9 @@ def _descend(instance, config, x0, project) -> SolveResult:
     op, y = instance.op, instance.y
     x = np.array(x0, dtype=float)
     f_x, r, support = op.evaluate(x, y)
-    obj_trace = [f_x]
-    tau_trace: list[float] = []
-    bt_trace: list[int] = []
-    step_trace: list[float] = []
+    obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
-    last_tau = config.gamma
+    last_tau = config.gamma * scale
     for k in range(config.max_iters):
         if not math.isfinite(f_x):
             raise NumericError(
@@ -200,7 +198,7 @@ def _descend(instance, config, x0, project) -> SolveResult:
             )
         grad = op.gradient(x, y, r, support)
         try:
-            step = armijo_step(x, grad, f_x, instance, config, project)
+            step = armijo_step(x, grad, f_x, instance, config, project, scale)
         except BacktrackExhausted:
             stop = StopReason.BACKTRACK_EXHAUSTED
             break
@@ -387,25 +385,31 @@ def anchor_bins(instance, start_index: int = 0) -> tuple[int, ...]:
 
 _ENTRY_CHOICES = 3          # randomized starts pick among this many entry bins
 _STAGE_EPSILON = 1e-3       # step-norm tolerance of the growth-stage solves
-_STAGE_MAX_ITERS = 300      # iteration cap of the growth-stage solves
+
+
+def _stage_scale(instance) -> float:
+    """Growth-stage step scale 1/(2L).  L = 4(s-1)/m (circle: 8(s-1)/m) is
+    about f's top Hessian eigenvalue at an exact fit; each stage's is less."""
+    op = instance.op
+    return op.m / ((16 if op.circular else 8) * (instance.s - 1))
 
 
 def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult:
     """One guided start: grow the support point by point, then solve at s.
 
     Begins from the anchored pair and raises the sparsity budget one unit
-    at a time; each stage runs a short, loose descent during which the
-    projection births (at most) one new support coordinate where the
-    current residual wants it.  Start 0 lets every stage take its
-    greedy-best entry; later starts pick the entering bin among the top
-    few candidates with a seeded draw, and on the circle also rotate the
-    anchor lag.
+    at a time; each stage runs a loose descent at base step gamma *
+    `_stage_scale` during which the projection births (at most) one new
+    support coordinate where the current residual wants it; the solve at
+    s keeps gamma.  Start 0 lets every stage take its greedy-best entry;
+    later starts pick the entering bin among the top few candidates with
+    a seeded draw, and on the circle also rotate the anchor lag.
     """
     n, s = instance.n, instance.s
     x = np.zeros(n)
     x[list(anchor_bins(instance, start))] = 1.0
-    stage_config = replace(config, epsilon=_STAGE_EPSILON,
-                           max_iters=min(_STAGE_MAX_ITERS, config.max_iters))
+    stage_config = replace(config, epsilon=_STAGE_EPSILON)
+    kappa = _stage_scale(instance)
     stage_iterations = 0
     for sp in range(2, s):
         if start > 0 and np.count_nonzero(x) < sp:
@@ -417,7 +421,7 @@ def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult
             x = x.copy()
             x[cand[pick]] = 1.0
         stage = _descend(instance, stage_config, x,
-                         lambda z: project_sparse_box(z, sp))
+                         lambda z: project_sparse_box(z, sp), kappa)
         x = stage.x_final
         stage_iterations += stage.iterations
     result = iht_solve(instance, config, x)

@@ -66,13 +66,13 @@ def project_sparse_box_two_scan(z, s: int) -> np.ndarray:
     return x
 
 
-def armijo_step_reference(x, grad, f_x, instance, config, project):
+def armijo_step_reference(x, grad, f_x, instance, config, project, scale=1.0):
     """Reference Armijo search: each candidate through `objective`.
 
     Returns (x_next, f_next, tau, t)."""
     op, y = instance.op, instance.y
     for t in range(config.max_backtracks + 1):
-        tau = config.gamma * config.alpha**t
+        tau = config.gamma * scale * config.alpha**t
         x_next = project(x - tau * grad)
         f_next = op.objective(x_next, y)
         diff = x - x_next
@@ -81,7 +81,7 @@ def armijo_step_reference(x, grad, f_x, instance, config, project):
     raise BacktrackExhausted("no backtrack exponent gave sufficient decrease")
 
 
-def descend_reference(instance, config, x0, project) -> SolveResult:
+def descend_reference(instance, config, x0, project, scale=1.0) -> SolveResult:
     """Reference projected-gradient loop: every iterate's objective and
     gradient are computed afresh from x, nothing is carried over."""
     op, y = instance.op, instance.y
@@ -89,12 +89,12 @@ def descend_reference(instance, config, x0, project) -> SolveResult:
     f_x = op.objective(x, y)
     obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
-    last_tau = config.gamma
+    last_tau = config.gamma * scale
     for _ in range(config.max_iters):
         grad = op.gradient(x, y)
         try:
             x_next, f_next, tau, t = armijo_step_reference(
-                x, grad, f_x, instance, config, project)
+                x, grad, f_x, instance, config, project, scale)
         except BacktrackExhausted:
             stop = StopReason.BACKTRACK_EXHAUSTED
             break

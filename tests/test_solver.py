@@ -111,7 +111,8 @@ def _dense_start(n, s):
 
 
 def _descend_cases():
-    """(label, instance, config, x0, library projection, reference projection)."""
+    """(label, instance, config, x0, library projection, reference projection,
+    base-step scale)."""
     cases = []
     for geom in Geometry:
         inst = generate_instance(geom, 6, 200, 0.0, 11)
@@ -128,19 +129,20 @@ def _descend_cases():
         anchored[[0, int(np.flatnonzero(inst.y).max()) + 1]] = 1.0
         dense = _dense_start(n, s)
         binary = random_support_start(n, s, 2, 0)
-        # delta = 10 rejects the first candidates of every step
+        # delta = 10 rejects the first candidates of every step; the stage
+        # case runs at a growth stage's scaled step
         cases += [
-            (f"{geom.value} box", inst, SolverConfig(), binary, *box),
+            (f"{geom.value} box", inst, SolverConfig(), binary, *box, 1.0),
             (f"{geom.value} box backtracks", inst,
-             SolverConfig(delta=10.0, max_iters=200), binary, *box),
-            (f"{geom.value} stage sp=4", inst,
-             SolverConfig(epsilon=1e-3, max_iters=300), anchored, *stage),
+             SolverConfig(delta=10.0, max_iters=200), binary, *box, 1.0),
+            (f"{geom.value} stage sp=4", inst, SolverConfig(epsilon=1e-3),
+             anchored, *stage, solver._stage_scale(inst)),
             (f"{geom.value} simplex dense", wide, SolverConfig(),
-             _dense_start(wide.n, s), *simplex),
+             _dense_start(wide.n, s), *simplex, 1.0),
             (f"{geom.value} simplex max_iters", inst, SolverConfig(max_iters=7),
-             dense, *simplex),
+             dense, *simplex, 1.0),
             (f"{geom.value} simplex backtracks", inst,
-             SolverConfig(delta=10.0, max_iters=100), dense, *simplex),
+             SolverConfig(delta=10.0, max_iters=100), dense, *simplex, 1.0),
         ]
     return cases
 
@@ -151,9 +153,9 @@ class TestCarriedEvaluation:
 
     @pytest.mark.parametrize("case", _descend_cases(), ids=lambda c: c[0])
     def test_matches_fresh_evaluation_loop(self, case):
-        _, inst, cfg, x0, project, project_ref = case
-        got = _descend(inst, cfg, x0, project)
-        ref = descend_reference(inst, cfg, x0, project_ref)
+        _, inst, cfg, x0, project, project_ref, scale = case
+        got = _descend(inst, cfg, x0, project, scale)
+        ref = descend_reference(inst, cfg, x0, project_ref, scale)
         for name in ("objective_trace", "step_size_trace", "backtrack_trace",
                      "step_norm_trace"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
@@ -164,8 +166,8 @@ class TestCarriedEvaluation:
 
     def test_cases_cover_both_paths_cuts_and_backtracks(self):
         cases = _descend_cases()
-        results = {c[0]: _descend(c[1], c[2], c[3], c[4]) for c in cases}
-        for label, inst, _, x0, _, _ in cases:
+        results = {c[0]: _descend(*c[1:5], c[6]) for c in cases}
+        for label, inst, _, x0, *_ in cases:
             if label.endswith("simplex dense"):
                 # starts on the FFT paths and ends on the pair forward map
                 # and the window gradient
@@ -179,6 +181,48 @@ class TestCarriedEvaluation:
             for kind in ("box", "simplex"):
                 bt = results[f"{geom.value} {kind} backtracks"].backtrack_trace
                 assert bt.sum() > 0
+
+
+class TestStageStep:
+    """Growth stages try gamma * kappa * alpha^t with kappa = 1/(2L); the
+    solvers, and so a guided start's final descent, keep gamma * alpha^t."""
+
+    @pytest.mark.parametrize("geom,kappa", [(Geometry.TURNPIKE, 13.875),
+                                            (Geometry.BELTWAY, 6.9375)])
+    def test_scale_at_ten_points_on_a_thousand_bins(self, geom, kappa):
+        inst = generate_instance(geom, 10, 1000, 0.0, 0)
+        assert solver._stage_scale(inst) == kappa
+
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_stages_scale_their_step_and_the_final_descent_does_not(
+            self, geom, monkeypatch):
+        calls = []
+        descend = solver._descend
+
+        def recorded(instance, config, x0, project, scale=1.0):
+            result = descend(instance, config, x0, project, scale)
+            calls.append((scale, result))
+            return result
+
+        monkeypatch.setattr(solver, "_descend", recorded)
+        inst = generate_instance(geom, 10, 1000, 0.0, 3)
+        cfg = SolverConfig(seed=3)
+        final = solver._guided_iht_start(inst, cfg, 1)
+        *stages, (final_scale, last) = calls
+        assert last is final and final_scale == 1.0
+        assert len(stages) == inst.s - 2
+        kappa = solver._stage_scale(inst)
+        for scale, stage in stages:
+            assert scale == kappa
+            assert stage.stop_reason is StopReason.CONVERGED
+            np.testing.assert_array_equal(
+                stage.step_size_trace,
+                cfg.gamma * kappa * cfg.alpha ** stage.backtrack_trace.astype(float))
+        assert max(stage.step_size_trace.max() for _, stage in stages) > cfg.gamma
+        np.testing.assert_array_equal(
+            final.step_size_trace,
+            cfg.gamma * cfg.alpha ** final.backtrack_trace.astype(float))
+        assert final.iterations > 0 and np.all(final.step_size_trace <= cfg.gamma)
 
 
 class TestIhtSolve:
