@@ -167,8 +167,6 @@ def extract_positions(x, n: int, geometry: Geometry) -> np.ndarray:
         k = max(1, int(round(mass)))
         if k == 1:
             picked.append((vals * ids).sum() / mass)
-        elif k >= len(ids):
-            picked.extend(ids)
         else:
             order = np.argsort(-vals, kind="stable")[:k]
             picked.extend(ids[np.sort(order)])
@@ -291,6 +289,8 @@ def instance_from_json(text: str) -> Instance:
         raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
     if not np.all((y >= 0) & (y == np.floor(y))):
         raise ValueError("histogram counts must be non-negative integers")
+    if geometry is Geometry.BELTWAY and not np.array_equal(y, y[::-1]):
+        raise ValueError("beltway counts must match at lags d and n-d")
     pairs = s * (s - 1) // (1 if geometry is Geometry.BELTWAY else 2)
     if y.sum() != pairs:
         raise ValueError(f"histogram counts sum to {y.sum():g}, expected "

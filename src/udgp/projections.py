@@ -30,8 +30,6 @@ def project_sparse_box(z, s: int) -> np.ndarray:
     if not 1 <= s <= n:
         raise ValueError(f"sparsity level must satisfy 1 <= s <= {n}, got {s}")
     clipped = np.clip(z, 0.0, 1.0)
-    if s == n:
-        return clipped
     gain = z * z - (z - clipped) ** 2
     # s-th largest gain; at least s coordinates reach it, and when exactly s
     # do they are the top s

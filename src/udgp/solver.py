@@ -397,13 +397,14 @@ def _stage_scale(instance) -> float:
 def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult:
     """One guided start: grow the support point by point, then solve at s.
 
-    Begins from the anchored pair and raises the sparsity budget one unit
-    at a time; each stage runs a loose descent at base step gamma *
-    `_stage_scale` during which the projection births (at most) one new
-    support coordinate where the current residual wants it; the solve at
-    s keeps gamma.  Start 0 lets every stage take its greedy-best entry;
-    later starts pick the entering bin among the top few candidates with
-    a seeded draw, and on the circle also rotate the anchor lag.
+    Begins from the anchored pair, its own first stage (its lag is
+    observed, so a step at sparsity 2 returns it), and raises the sparsity
+    budget one unit at a time from 3; each stage runs a loose descent at
+    base step gamma * `_stage_scale` during which the projection births
+    (at most) one new support coordinate where the residual wants it; the
+    solve at s keeps gamma.  Start 0 lets every stage take its greedy-best
+    entry; later starts add the entering bin, drawn among the top few
+    candidates, and on the circle also rotate the anchor lag.
     """
     n, s = instance.n, instance.s
     x = np.zeros(n)
@@ -411,14 +412,13 @@ def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult
     stage_config = replace(config, epsilon=_STAGE_EPSILON)
     kappa = _stage_scale(instance)
     stage_iterations = 0
-    for sp in range(2, s):
-        if start > 0 and np.count_nonzero(x) < sp:
+    for sp in range(3, s):
+        if start > 0:
             g = instance.op.gradient(x, instance.y)
             g = np.where(x > 0, np.inf, g)
             cand = np.argpartition(g, _ENTRY_CHOICES)[:_ENTRY_CHOICES]
             cand = cand[np.argsort(g[cand], kind="stable")]
             pick = int(_philox(config.seed, start, sp).integers(0, cand.size))
-            x = x.copy()
             x[cand[pick]] = 1.0
         stage = _descend(instance, stage_config, x,
                          lambda z: project_sparse_box(z, sp), kappa)

@@ -17,7 +17,6 @@ from udgp import (Geometry, SolverConfig, StopReason,
                   capped_simplex_with_multiplier, check_l_stationarity,
                   extract_positions, generate_instance, multi_start,
                   project_sparse_box, score_recovery)
-from udgp import solver
 from udgp.model import LagOperator
 
 NOISE_GRID = [0.0, 1e-5, 3e-5, 5e-5, 7e-5]
@@ -84,7 +83,7 @@ def test_criterion_03_scaled_grid():
     _report(3, ok, "(20,2000) xi=0; " + "; ".join(details))
 
 
-def test_criterion_04_speed_ordering(monkeypatch):
+def test_criterion_04_speed_ordering():
     cells = [
         (Geometry.TURNPIKE, 10, 1000, 0.0, 5),
         (Geometry.TURNPIKE, 10, 1000, 7e-5, 5),
@@ -92,25 +91,18 @@ def test_criterion_04_speed_ordering(monkeypatch):
         (Geometry.BELTWAY, 10, 1000, 7e-5, 5),
         (Geometry.TURNPIKE, 20, 2000, 0.0, 3),
     ]
-    # count Armijo steps (iterations over every start) to explain the times
-    steps = [0]
-    armijo_step = solver.armijo_step
-
-    def counted_armijo_step(*args, **kwargs):
-        steps[0] += 1
-        return armijo_step(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "armijo_step", counted_armijo_step)
     ok = True
     details = []
     for geometry, s, n, xi, trials in cells:
         per_method, per_steps = {}, {}
         for method in ("iht", "l1pgd"):
             # matched instances and solver seeds across methods
-            steps[0] = 0
+            logged = len(RUN_LOG)
             _, times = _run_cell(geometry, s, n, xi, trials, method=method)
             per_method[method] = float(np.median(times))
-            per_steps[method] = steps[0]
+            # Armijo steps over every start, to explain the times
+            per_steps[method] = sum(result.total_iterations
+                                    for _, _, result in RUN_LOG[logged:])
         ratio = per_method["l1pgd"] / per_method["iht"]
         ok = ok and per_method["iht"] < per_method["l1pgd"] and ratio >= 1.3
         details.append(f"{geometry.value} s={s} xi={xi:g}: "

@@ -383,3 +383,14 @@ class TestSerialization:
                 edit(rec)
                 with pytest.raises(ValueError):
                     instance_from_json(json.dumps(rec))
+
+    def test_rejects_beltway_counts_that_differ_at_complementary_lags(self):
+        # every pair on the circle is counted at lags d and n-d, so a
+        # histogram that differs there has no point set, even at the right mass
+        text = instance_to_json(generate_instance(Geometry.BELTWAY, 5, 64, 0.0, 1))
+        rec = json.loads(text)
+        d = rec["y"].index(max(rec["y"]))
+        rec["y"][d] -= 1
+        rec["y"][0 if d else 1] += 1
+        with pytest.raises(ValueError, match="lags d and n-d"):
+            instance_from_json(json.dumps(rec))

@@ -194,6 +194,28 @@ class TestStageStep:
         assert solver._stage_scale(inst) == kappa
 
     @pytest.mark.parametrize("geom", list(Geometry))
+    @pytest.mark.parametrize("s,n,xi", [(5, 60, 0.0), (10, 1000, 0.0),
+                                        (20, 2000, 0.0), (10, 1000, 2e-4),
+                                        (10, 1000, 1e-3)])
+    def test_anchored_pair_is_its_own_first_stage(self, geom, s, n, xi):
+        """Why growth starts at three points: the pair's lag is observed, so
+        its residual is <= 0 everywhere and one stage step at sparsity 2
+        keeps exactly the pair, at t = 0."""
+        cfg = SolverConfig()
+        for seed in range(90000, 90005):
+            inst = generate_instance(geom, s, n, xi, seed)
+            kappa = solver._stage_scale(inst)
+            for start in range(4):  # the circle rotates its anchor lag
+                x = np.zeros(n)
+                x[list(solver.anchor_bins(inst, start))] = 1.0
+                f, r, support = inst.op.evaluate(x, inst.y)
+                grad = inst.op.gradient(x, inst.y, r, support)
+                step = armijo_step(x, grad, f, inst, cfg,
+                                   lambda z: project_sparse_box(z, 2), kappa)
+                assert step.t == 0
+                np.testing.assert_array_equal(step.x, x)
+
+    @pytest.mark.parametrize("geom", list(Geometry))
     def test_stages_scale_their_step_and_the_final_descent_does_not(
             self, geom, monkeypatch):
         calls = []
@@ -210,7 +232,7 @@ class TestStageStep:
         final = solver._guided_iht_start(inst, cfg, 1)
         *stages, (final_scale, last) = calls
         assert last is final and final_scale == 1.0
-        assert len(stages) == inst.s - 2
+        assert len(stages) == inst.s - 3
         kappa = solver._stage_scale(inst)
         for scale, stage in stages:
             assert scale == kappa
