@@ -179,7 +179,7 @@ def _grid_cells(args) -> list[tuple[Geometry, int, int, float]]:
         raise ValueError("--xi sets a custom cell's noise: give it with "
                          "--geometry, --s and --n")
     scales = BENCH_SCALES
-    if args.scales:
+    if args.scales is not None:
         wanted = {part.strip() for part in args.scales.split(",")}
         scales = [(s, n) for s, n in BENCH_SCALES if f"{s}:{n}" in wanted]
         if len(scales) < len(wanted):

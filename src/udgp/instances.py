@@ -273,14 +273,20 @@ def instance_from_json(text: str) -> Instance:
     points make or whose true positions are not s distinct grid bins of
     the unit segment or circle."""
     rec = json.loads(text)
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
     geometry = Geometry(rec["geometry"])
-    n, s, seed, xi = rec["n"], rec["s"], rec["seed"], float(rec["xi"])
+    n, s, seed = rec["n"], rec["s"], rec["seed"]
     if not all(type(v) is int for v in (n, s, seed)):  # no float, bool or str
         raise ValueError("n, s and seed must be integers, got "
                          f"{n!r}, {s!r}, {seed!r}")
+    try:  # null, a list or an object where a number or a list of numbers goes
+        xi = float(rec["xi"])
+        y = np.asarray(rec["y"], dtype=float)
+        pos = np.asarray(rec["true_positions"], dtype=float)
+    except TypeError as err:
+        raise ValueError(f"xi, y and true_positions must be numeric: {err}") from None
     _check_noise(xi)
-    y = np.asarray(rec["y"], dtype=float)
-    pos = np.asarray(rec["true_positions"], dtype=float)
     if y.shape != (n - 1,):
         raise ValueError(f"histogram length {y.size} does not match n={n}")
     if pos.shape != (s,):

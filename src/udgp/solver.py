@@ -12,8 +12,9 @@ when the step norm drops to epsilon, the iteration cap is hit, or the
 line search exhausts its budget.
 
 The model is nonconvex and has spurious stationary points (the zero
-vector among them), so `multi_start` runs the solver from several starts
-built around an anchored pair of bins.  A start *fits* when its rounded
+vector among them), so `multi_start` runs the solver from several starts,
+each grown from an anchored pair of bins by the same hard-thresholding
+stages whichever solver finishes it.  A start *fits* when its rounded
 support {x > 0.5} holds s points whose histogram misfits y, in L1, by no
 more than the noise can explain (`misfit_budget`: 0 on noise-free data,
 so there a fit is an exact one).  The first start that fits ends the
@@ -299,7 +300,7 @@ def check_l_stationarity(x, instance, tol: float = 1e-6) -> StationarityReport:
     return StationarityReport(passed=not violations, tol=tol, violations=violations)
 
 
-def _philox(seed: int, start: int, stage: int = 0) -> np.random.Generator:
+def _philox(seed: int, start: int, stage: int) -> np.random.Generator:
     """Counter-based stream keyed by (seed, start, stage): every start and
     growth stage is reproducible on its own, independent of run order."""
     key = (((int(seed) & _U64) << 64)
@@ -394,17 +395,19 @@ def _stage_scale(instance) -> float:
     return op.m / ((16 if op.circular else 8) * (instance.s - 1))
 
 
-def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult:
-    """One guided start: grow the support point by point, then solve at s.
+def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveResult:
+    """One guided start: grow the support point by point, then `solve` at s.
 
     Begins from the anchored pair, its own first stage (its lag is
     observed, so a step at sparsity 2 returns it), and raises the sparsity
-    budget one unit at a time from 3; each stage runs a loose descent at
-    base step gamma * `_stage_scale` during which the projection births
-    (at most) one new support coordinate where the residual wants it; the
-    solve at s keeps gamma.  Start 0 lets every stage take its greedy-best
-    entry; later starts add the entering bin, drawn among the top few
-    candidates, and on the circle also rotate the anchor lag.
+    budget one unit at a time from 3; each stage runs a loose
+    hard-thresholding descent at base step gamma * `_stage_scale` during
+    which the projection births (at most) one new support coordinate where
+    the residual wants it.  The (s-1)-sparse result is handed to `solve`,
+    `iht_solve` or `l1pgd_solve`, which keeps gamma, so both methods
+    descend from the same iterate.  Start 0 lets every stage take its
+    greedy-best entry; later starts add the entering bin, drawn among the
+    top few candidates, and on the circle also rotate the anchor lag.
     """
     n, s = instance.n, instance.s
     x = np.zeros(n)
@@ -424,21 +427,9 @@ def _guided_iht_start(instance, config: SolverConfig, start: int) -> SolveResult
                          lambda z: project_sparse_box(z, sp), kappa)
         x = stage.x_final
         stage_iterations += stage.iterations
-    result = iht_solve(instance, config, x)
+    result = solve(instance, config, x)
     result.total_iterations += stage_iterations
     return result
-
-
-def _anchored_support_start(instance, seed: int, start: int) -> np.ndarray:
-    """Binary start holding the anchored pair plus a random fill."""
-    n, s = instance.n, instance.s
-    anchors = list(anchor_bins(instance, start))
-    x0 = np.zeros(n)
-    x0[anchors] = 1.0
-    pool = np.setdiff1d(np.arange(n), anchors)
-    rng = _philox(seed, start)
-    x0[rng.choice(pool, size=s - len(anchors), replace=False)] = 1.0
-    return x0
 
 
 def _addition_scores(instance, x, r, support) -> np.ndarray:
@@ -526,9 +517,10 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
     one with the lowest final objective is (earliest start wins ties).
     `starts_run` is set to the number of starts that ran, and
     `total_iterations` to the Armijo steps of every start's descents.
-    Hard-thresholding starts grow the support from the anchored pair
-    (see `_guided_iht_start`); the baseline starts from the anchored pair
-    plus a random fill.  A start that does not fit gets one repair
+    Every start of either method grows the support from the anchored pair
+    by hard-thresholding stages, then runs the method's solver from the
+    (s-1)-sparse result (see `_guided_start`), so the methods differ only
+    in the descents that finish their starts.  A start that does not fit gets one repair
     (`_repair`) of its rounded support within the same budget; a
     repaired indicator is solved once more by the start's own solver, so
     the answer is a fixed point of its method's iteration, and its
@@ -546,11 +538,7 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
     total_iterations = 0
     for start in range(config.restarts + 1):
         try:
-            if method == "iht":
-                result = _guided_iht_start(instance, config, start)
-            else:
-                x0 = _anchored_support_start(instance, config.seed, start)
-                result = solve(instance, config, x0)
+            result = _guided_start(instance, config, start, solve)
             fit = _fits(instance, result.x_final, budget)
             if not fit and config.max_iters > 0:
                 repaired = _repair(instance, result.x_final, budget)

@@ -144,7 +144,7 @@ def check_l_stationarity_loop(x, instance, tol: float = 1e-6) -> StationarityRep
 def random_support_start(n: int, s: int, seed: int, start_index: int) -> np.ndarray:
     """Indicator of a random s-subset of bins, drawn from the solver's
     per-start stream."""
-    rng = _philox(seed, start_index)
+    rng = _philox(seed, start_index, 0)
     x0 = np.zeros(n)
     x0[rng.choice(n, size=s, replace=False)] = 1.0
     return x0

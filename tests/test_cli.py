@@ -196,10 +196,15 @@ class TestSolve:
         off_segment = dict(counts, true_positions=[-3.0, 0.5, 7.0, 0.2],
                            y=[0] * 33 + [1] * 6)
         shared_bin = dict(off_segment, true_positions=[0.0, 0.1, 0.1, 0.7])
-        nan_noise = dict(json.loads(instance_file.read_text()), xi=float("nan"))
+        rec = json.loads(instance_file.read_text())
+        nan_noise = dict(rec, xi=float("nan"))
+        # not an object, or a non-numeric JSON type where numbers go
+        wrong_types = [[1, 2], "hello", dict(rec, xi=None), dict(rec, xi=[1]),
+                       dict(rec, y={"a": 1})]
         for i, text in enumerate(["{not json", json.dumps(single),
                                   json.dumps(counts), json.dumps(off_segment),
-                                  json.dumps(shared_bin), json.dumps(nan_noise)]):
+                                  json.dumps(shared_bin), json.dumps(nan_noise),
+                                  *map(json.dumps, wrong_types)]):
             bad = tmp_path / f"bad{i}.json"
             bad.write_text(text)
             assert run(["solve", "--in", str(bad),
@@ -367,6 +372,7 @@ class TestBench:
           "--xi", "nan"], "--xi"),
         (["--geometry", "turnpike", "--s", "4", "--n", "40",
           "--xi", "inf"], "--xi"),
+        (["--scales", ""], "--scales"),
     ])
     def test_invalid_cell_exits_2_before_solving(self, flags, named,
                                                   tmp_path, capsys):

@@ -375,6 +375,10 @@ class TestSerialization:
             lambda rec: rec.update(xi=-1e-5),               # negative noise
             lambda rec: rec.update(xi=float("nan")),        # NaN noise
             lambda rec: rec.update(xi=float("inf")),        # infinite noise
+            lambda rec: rec.update(xi=None),                # null noise
+            lambda rec: rec.update(xi=[1]),                 # list noise
+            lambda rec: rec.update(y={"a": 1}),             # object histogram
+            lambda rec: rec.update(true_positions={"a": 0.5}),  # object positions
         ]
         for geometry in Geometry:
             text = instance_to_json(generate_instance(geometry, 5, 64, 0.0, 1))
@@ -383,6 +387,9 @@ class TestSerialization:
                 edit(rec)
                 with pytest.raises(ValueError):
                     instance_from_json(json.dumps(rec))
+        for text in ("[1, 2]", '"hello"'):  # not a JSON object
+            with pytest.raises(ValueError):
+                instance_from_json(text)
 
     def test_rejects_beltway_counts_that_differ_at_complementary_lags(self):
         # every pair on the circle is counted at lags d and n-d, so a

@@ -10,8 +10,9 @@ from oracles import (check_l_stationarity_loop, descend_reference,
 from udgp import (Geometry, NumericError, SolverConfig, StopReason,
                   armijo_step, binary_misfit, check_l_stationarity,
                   extract_positions, generate_instance, iht_solve,
-                  misfit_budget, multi_start, project_capped_simplex,
-                  project_sparse_box, score_recovery, stationarity_residual)
+                  l1pgd_solve, misfit_budget, multi_start,
+                  project_capped_simplex, project_sparse_box, score_recovery,
+                  stationarity_residual)
 from udgp import solver
 from udgp.cli import BENCH_NOISE
 from udgp.instances import Instance
@@ -229,7 +230,7 @@ class TestStageStep:
         monkeypatch.setattr(solver, "_descend", recorded)
         inst = generate_instance(geom, 10, 1000, 0.0, 3)
         cfg = SolverConfig(seed=3)
-        final = solver._guided_iht_start(inst, cfg, 1)
+        final = solver._guided_start(inst, cfg, 1, iht_solve)
         *stages, (final_scale, last) = calls
         assert last is final and final_scale == 1.0
         assert len(stages) == inst.s - 3
@@ -427,6 +428,23 @@ class TestMultiStart:
             extract_positions(res.x_final, inst.n, inst.geometry), inst)
         assert rep.co_p == 10
 
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_both_methods_descend_from_the_same_grown_start(self, geom):
+        """Growth stages do not depend on the method: `_guided_start` hands
+        `iht_solve` and `l1pgd_solve` the same (s-1)-sparse iterate, bit
+        for bit, on the greedy start and on drawn ones."""
+        inst = generate_instance(geom, 10, 1000, 0.0, 90000)
+        cfg = SolverConfig(seed=5)
+        for start in range(3):
+            handed = {}
+            for solve in (iht_solve, l1pgd_solve):
+                def recorded(instance, config, x, solve=solve):
+                    handed[solve] = x.copy()
+                    return solve(instance, replace(config, max_iters=0), x)
+                solver._guided_start(inst, cfg, start, recorded)
+            np.testing.assert_array_equal(handed[iht_solve], handed[l1pgd_solve])
+            assert np.count_nonzero(handed[iht_solve]) == inst.s - 1
+
     def test_unknown_method(self):
         inst = small_instance()
         with pytest.raises(ValueError):
@@ -466,6 +484,7 @@ def _indicator(n, bins):
 
 
 class TestRepair:
+    @pytest.mark.parametrize("method", ["iht", "l1pgd"])
     @pytest.mark.parametrize("geom,s,n,seed,solver_seed", [
         (Geometry.TURNPIKE, 10, 1000, 131, 131),
         (Geometry.TURNPIKE, 10, 1000, 131, 2228),
@@ -474,11 +493,12 @@ class TestRepair:
         (Geometry.TURNPIKE, 30, 4000, 90002, 35),
     ])
     def test_failing_starts_end_at_exact_fits(self, geom, s, n, seed,
-                                              solver_seed):
-        """Instances whose 50 starts all failed, or (beltway) won only on
-        start 21, before each failed start was repaired."""
+                                              solver_seed, method):
+        """Instances whose 50 hard-thresholding starts all failed, or
+        (beltway) won only on start 21, before each failed start was
+        repaired; the baseline grows the same starts."""
         inst = generate_instance(geom, s, n, 0.0, seed)
-        res = multi_start(inst, SolverConfig(seed=solver_seed))
+        res = multi_start(inst, SolverConfig(seed=solver_seed), method)
         assert binary_misfit(inst, res.x_final) == 0
         assert res.starts_run == res.start_index + 1 <= 7
         rep = score_recovery(extract_positions(res.x_final, n, geom), inst)
