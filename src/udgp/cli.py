@@ -225,7 +225,7 @@ def cmd_bench(args) -> int:
     for cell_index, (geometry, s, n, xi) in enumerate(cells):
         mean_times: dict[str, float] = {}
         for method in methods:
-            cops, times = [], []
+            cops, times, homometric = [], [], 0
             for trial in range(args.trials):
                 inst_seed, solver_seed = _trial_seeds(args.seed, cell_index, trial)
                 instance = generate_instance(geometry, s, n, xi, inst_seed)
@@ -233,6 +233,7 @@ def cmd_bench(args) -> int:
                 rec = _solve_and_score(instance, config, method)
                 cops.append(rec["co_p"])
                 times.append(rec["wall_time_seconds"])
+                homometric += rec["homometric"]
                 trial_rows.append([geometry.value, s, n, f"{xi:g}", method,
                                    trial, inst_seed,
                                    *(rec[k] for k in TRIAL_FIELDS)])
@@ -241,13 +242,14 @@ def cmd_bench(args) -> int:
                 mean_rows.append([
                     geometry.value, s, n, f"{xi:g}", method,
                     f"{np.mean(cops):.3f}", f"{mean_times[method]:.6f}", args.trials, "",
+                    homometric,
                 ])
         if len(mean_times) == 2:  # iht ran first, so its row is mean_rows[-2]
             ratio = mean_times["iht"] / max(mean_times["l1pgd"], 1e-12)
-            mean_rows[-2][-1] = f"{ratio:.4f}"
+            mean_rows[-2][8] = f"{ratio:.4f}"
 
     header = ["geometry", "s", "n", "xi", "method", "mean_co_p", "mean_time_s",
-              "trials", "time_ratio_iht_vs_l1pgd"]
+              "trials", "time_ratio_iht_vs_l1pgd", "homometric_trials"]
     trial_header = ["geometry", "s", "n", "xi", "method", "trial", "seed",
                     *TRIAL_FIELDS]
     comments = _config_comments(args, base_config, methods)

@@ -9,7 +9,12 @@ a backtracking line search that enforces the sufficient-decrease rule
 `l1pgd_solve` is the comparison baseline: the identical loop, but
 projecting onto the capped simplex {x in [0,1]^n : sum x = s}.  Both stop
 when the step norm drops to epsilon, the iteration cap is hit, or the
-line search exhausts its budget.
+line search exhausts its budget, and both stop at the first exact fit
+they reach on s points: once an iterate holds exactly s nonzeros, the
+0/1 indicator of its support is tried, and if its histogram equals y it
+is taken as the last step, as in hard thresholding pursuit (Foucart,
+SIAM J. Numer. Anal. 2011).  That indicator has f = 0 and grad f = 0, so
+the descent ends at a fixed point of either projection.
 
 The model is nonconvex and has spurious stationary points (the zero
 vector among them), so `multi_start` runs the solver from several starts,
@@ -113,7 +118,7 @@ class SolveResult:
     stop_reason: StopReason
     start_index: int = 0
     starts_run: int = 1                # starts `multi_start` ran to get this
-    total_iterations: int = 0          # Armijo steps of every descent behind this
+    total_iterations: int = 0          # steps of every descent behind this
 
     @property
     def f_final(self) -> float:
@@ -131,7 +136,7 @@ class SolveResult:
 
 
 class Step(NamedTuple):
-    """An accepted Armijo step and the evaluation of its iterate."""
+    """An accepted step, Armijo or pursuit, and the evaluation of its iterate."""
 
     x: np.ndarray           # the accepted iterate x_next
     f: float                # f(x_next)
@@ -178,6 +183,29 @@ def _fixed_point_residual(x, tau, instance, project, r=None, support=None) -> fl
     return float(np.linalg.norm(x - project(x - tau * g)))
 
 
+def _pursuit_step(x, f_x, support, instance, config, scale=1.0) -> Step | None:
+    """Hard thresholding pursuit's last step from an s-point iterate x.
+
+    On a support S of s bins the least-squares fit that hard thresholding
+    pursuit solves for is, when S is an answer, S's indicator x_b: its lag
+    counts equal y, so f(x_b) = 0 and grad f(x_b) = 0, a fixed point of
+    either projection and a global minimiser.  Returns x_b as an accepted
+    step (objective 0, exponent 0) when its rounded lag counts equal y, as
+    in `binary_misfit`, and it passes the sufficient-decrease rule from x;
+    otherwise None.
+    """
+    xb = np.zeros(instance.n)
+    xb[support] = 1.0
+    if not np.array_equal(np.rint(instance.op.forward(xb)), instance.y):
+        return None
+    diff = x - xb
+    step_sq = float(diff @ diff)
+    if f_x < 0.5 * config.delta * step_sq:
+        return None
+    return Step(xb, 0.0, config.gamma * scale, 0, step_sq,
+                np.zeros(instance.op.m), support)
+
+
 def _descend(instance, config, x0, project, scale=1.0) -> SolveResult:
     """Projected-gradient loop over `project`'s set, base step gamma * scale.
 
@@ -185,6 +213,14 @@ def _descend(instance, config, x0, project, scale=1.0) -> SolveResult:
     and support come from the Armijo step that accepted it, so every
     iteration costs one gradient, the projections and one evaluation per
     candidate tried, and no iterate is evaluated twice.
+
+    The loop stops at a step no longer than epsilon, or at an exact fit:
+    the first time an accepted iterate holds a new support of exactly s
+    points, its indicator is offered as the next step (`_pursuit_step`),
+    and if it is taken the descent ends there, CONVERGED at a fixed point.
+    `project`'s set must hold that indicator whenever an iterate has s
+    points: both solvers' sets do, and growth stages, projecting onto
+    fewer than s points, never offer it.
     """
     op, y = instance.op, instance.y
     x = np.array(x0, dtype=float)
@@ -192,24 +228,31 @@ def _descend(instance, config, x0, project, scale=1.0) -> SolveResult:
     obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
     last_tau = config.gamma * scale
+    offered = None  # support bytes of the last iterate offered to pursuit
     for k in range(config.max_iters):
         if not math.isfinite(f_x):
             raise NumericError(
                 f"objective became non-finite ({f_x}) at iteration {k}", x, k
             )
-        grad = op.gradient(x, y, r, support)
-        try:
-            step = armijo_step(x, grad, f_x, instance, config, project, scale)
-        except BacktrackExhausted:
-            stop = StopReason.BACKTRACK_EXHAUSTED
-            break
+        step = None
+        if k and support.size == instance.s and support.tobytes() != offered:
+            offered = support.tobytes()
+            step = _pursuit_step(x, f_x, support, instance, config, scale)
+        pursued = step is not None
+        if not pursued:
+            grad = op.gradient(x, y, r, support)
+            try:
+                step = armijo_step(x, grad, f_x, instance, config, project, scale)
+            except BacktrackExhausted:
+                stop = StopReason.BACKTRACK_EXHAUSTED
+                break
         x, f_x, r, support = step.x, step.f, step.r, step.support
         obj_trace.append(f_x)
         tau_trace.append(step.tau)
         bt_trace.append(step.t)
         step_trace.append(math.sqrt(step.step_sq))
         last_tau = step.tau
-        if step_trace[-1] <= config.epsilon:
+        if pursued or step_trace[-1] <= config.epsilon:
             stop = StopReason.CONVERGED
             break
     resid = _fixed_point_residual(x, last_tau, instance, project, r, support)
@@ -516,11 +559,14 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
     start that fits is returned and ends the restarts; if none does, the
     one with the lowest final objective is (earliest start wins ties).
     `starts_run` is set to the number of starts that ran, and
-    `total_iterations` to the Armijo steps of every start's descents.
+    `total_iterations` to the steps of every start's descents: Armijo
+    steps and the pursuit steps that end descents at an exact fit.
     Every start of either method grows the support from the anchored pair
     by hard-thresholding stages, then runs the method's solver from the
     (s-1)-sparse result (see `_guided_start`), so the methods differ only
-    in the descents that finish their starts.  A start that does not fit gets one repair
+    in the descents that finish their starts.  A final descent that
+    reaches an s-point support fitting y exactly steps to its indicator
+    and stops there (`_descend`).  A start that does not fit gets one repair
     (`_repair`) of its rounded support within the same budget; a
     repaired indicator is solved once more by the start's own solver, so
     the answer is a fixed point of its method's iteration, and its

@@ -14,7 +14,8 @@ import numpy as np
 
 from udgp import Geometry, LagOperator, StationarityReport
 from udgp.instances import _ENTRY_FLOOR, _MIN_CLUSTER_MASS
-from udgp.solver import BacktrackExhausted, SolveResult, StopReason, _philox
+from udgp.solver import (BacktrackExhausted, SolveResult, StopReason, _philox,
+                         binary_misfit)
 
 
 def forward_direct(op: LagOperator, x) -> np.ndarray:
@@ -81,23 +82,50 @@ def armijo_step_reference(x, grad, f_x, instance, config, project, scale=1.0):
     raise BacktrackExhausted("no backtrack exponent gave sufficient decrease")
 
 
+def pursuit_step_reference(x, f_x, instance, config, scale=1.0):
+    """Reference pursuit step: the indicator x_b of x's support, scored by
+    `binary_misfit` and evaluated through `objective`.
+
+    Returns (x_b, f(x_b), tau, t) if x_b fits y exactly and passes the
+    sufficient-decrease rule from x, else None."""
+    xb = (np.asarray(x) != 0.0).astype(float)
+    if binary_misfit(instance, xb) != 0.0:
+        return None
+    f_b = instance.op.objective(xb, instance.y)
+    if f_x - f_b < 0.5 * config.delta * float((x - xb) @ (x - xb)):
+        return None
+    return xb, f_b, config.gamma * scale, 0
+
+
 def descend_reference(instance, config, x0, project, scale=1.0) -> SolveResult:
     """Reference projected-gradient loop: every iterate's objective and
-    gradient are computed afresh from x, nothing is carried over."""
+    gradient are computed afresh from x, nothing is carried over.  An
+    iterate after the first with s nonzeros, on a support not offered
+    before, is offered to `pursuit_step_reference`; a pursuit step taken
+    ends the loop."""
     op, y = instance.op, instance.y
     x = np.array(x0, dtype=float)
     f_x = op.objective(x, y)
     obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
     last_tau = config.gamma * scale
-    for _ in range(config.max_iters):
-        grad = op.gradient(x, y)
-        try:
-            x_next, f_next, tau, t = armijo_step_reference(
-                x, grad, f_x, instance, config, project, scale)
-        except BacktrackExhausted:
-            stop = StopReason.BACKTRACK_EXHAUSTED
-            break
+    offered = None
+    for k in range(config.max_iters):
+        pursuit = None
+        support = tuple(np.flatnonzero(x))
+        if k > 0 and len(support) == instance.s and support != offered:
+            offered = support
+            pursuit = pursuit_step_reference(x, f_x, instance, config, scale)
+        if pursuit is not None:
+            x_next, f_next, tau, t = pursuit
+        else:
+            grad = op.gradient(x, y)
+            try:
+                x_next, f_next, tau, t = armijo_step_reference(
+                    x, grad, f_x, instance, config, project, scale)
+            except BacktrackExhausted:
+                stop = StopReason.BACKTRACK_EXHAUSTED
+                break
         diff = x - x_next
         final_step = math.sqrt(float(diff @ diff))
         x, f_x = x_next, f_next
@@ -106,7 +134,7 @@ def descend_reference(instance, config, x0, project, scale=1.0) -> SolveResult:
         bt_trace.append(t)
         step_trace.append(final_step)
         last_tau = tau
-        if final_step <= config.epsilon:
+        if pursuit is not None or final_step <= config.epsilon:
             stop = StopReason.CONVERGED
             break
     g = op.gradient(x, y)

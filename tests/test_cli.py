@@ -252,11 +252,13 @@ class TestBench:
         rows = [l for l in lines if not l.startswith("#")]
         assert any("gamma=" in c for c in comments)
         header = rows[0].split(",")
-        assert header[:8] == ["geometry", "s", "n", "xi", "method",
-                              "mean_co_p", "mean_time_s", "trials"]
+        assert header == ["geometry", "s", "n", "xi", "method", "mean_co_p",
+                          "mean_time_s", "trials", "time_ratio_iht_vs_l1pgd",
+                          "homometric_trials"]
         iht_row = next(r for r in rows[1:] if ",iht," in r).split(",")
         assert float(iht_row[5]) == 4.0
         assert iht_row[8] != ""  # iht/l1pgd time ratio recorded
+        assert iht_row[9] == "0"
         trials = (tmp_path / "bench.csv.trials.csv").read_text().splitlines()
         trial_rows = [l for l in trials if not l.startswith("#")]
         assert len(trial_rows) == 1 + 4  # header + 2 trials x 2 methods
@@ -322,6 +324,10 @@ class TestBench:
         [row] = rows()
         assert (row["misfit"], row["exact_fit"], row["homometric"]) == (
             "0", "true", "true")
+        cells = [l.split(",") for l in out.read_text().splitlines()
+                 if not l.startswith("#")]
+        cell = dict(zip(cells[0], cells[1]))
+        assert (cell["mean_co_p"], cell["homometric_trials"]) == ("3.000", "1")
 
     def test_zero_trials_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"

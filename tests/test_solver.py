@@ -111,6 +111,18 @@ def _dense_start(n, s):
         np.random.default_rng(5).random(n) * 2 * s / n, s)
 
 
+def _grown_start(inst, seed=0, start=0):
+    """The (s-1)-sparse iterate `_guided_start`'s growth stages hand over."""
+    handed = []
+
+    def keep(instance, config, x):
+        handed.append(x.copy())
+        return iht_solve(instance, replace(config, max_iters=0), x)
+
+    solver._guided_start(inst, SolverConfig(seed=seed), start, keep)
+    return handed[0]
+
+
 def _descend_cases():
     """(label, instance, config, x0, library projection, reference projection,
     base-step scale)."""
@@ -130,6 +142,10 @@ def _descend_cases():
         anchored[[0, int(np.flatnonzero(inst.y).max()) + 1]] = 1.0
         dense = _dense_start(n, s)
         binary = random_support_start(n, s, 2, 0)
+        # the final descent of a start grown at (10,1000) ends at a pursuit step
+        grown = generate_instance(geom, 10, 1000, 0.0, 90000)
+        grown_box = (lambda z: project_sparse_box(z, grown.s),
+                     lambda z: project_sparse_box_two_scan(z, grown.s))
         # delta = 10 rejects the first candidates of every step; the stage
         # case runs at a growth stage's scaled step
         cases += [
@@ -144,6 +160,8 @@ def _descend_cases():
              dense, *simplex, 1.0),
             (f"{geom.value} simplex backtracks", inst,
              SolverConfig(delta=10.0, max_iters=100), dense, *simplex, 1.0),
+            (f"{geom.value} box pursuit", grown, SolverConfig(),
+             _grown_start(grown), *grown_box, 1.0),
         ]
     return cases
 
@@ -179,6 +197,10 @@ class TestCarriedEvaluation:
         for geom in Geometry:
             stop = results[f"{geom.value} simplex max_iters"].stop_reason
             assert stop is StopReason.MAX_ITERS
+            # converged on a step longer than epsilon: the pursuit exit
+            pursuit = results[f"{geom.value} box pursuit"]
+            assert pursuit.stop_reason is StopReason.CONVERGED
+            assert pursuit.final_step_norm > SolverConfig().epsilon
             for kind in ("box", "simplex"):
                 bt = results[f"{geom.value} {kind} backtracks"].backtrack_trace
                 assert bt.sum() > 0
@@ -246,6 +268,83 @@ class TestStageStep:
             final.step_size_trace,
             cfg.gamma * cfg.alpha ** final.backtrack_trace.astype(float))
         assert final.iterations > 0 and np.all(final.step_size_trace <= cfg.gamma)
+
+
+class TestPursuitExit:
+    """An accepted iterate on a new support of s points offers that
+    support's indicator as the next step; a descent that takes it stops
+    there, CONVERGED at an exact fit."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record, per pursuit step offered, whether it was taken."""
+        taken = []
+        pursuit_step = solver._pursuit_step
+
+        def spied(*args, **kwargs):
+            step = pursuit_step(*args, **kwargs)
+            taken.append(step is not None)
+            return step
+
+        monkeypatch.setattr(solver, "_pursuit_step", spied)
+        return taken
+
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_grown_start_ends_at_an_exact_fit(self, geom):
+        inst = generate_instance(geom, 10, 1000, 0.0, 90000)
+        cfg = SolverConfig()
+        res = iht_solve(inst, cfg, _grown_start(inst))
+        assert res.stop_reason is StopReason.CONVERGED
+        # a last step longer than epsilon: the exit ended it, not the step rule
+        assert res.final_step_norm > cfg.epsilon
+        assert set(np.unique(res.x_final)) == {0.0, 1.0}
+        assert np.count_nonzero(res.x_final) == inst.s
+        assert res.f_final == 0.0
+        assert res.stationarity_residual == 0.0
+        assert check_l_stationarity(res.x_final, inst).passed
+        assert res.backtrack_trace[-1] == 0
+        assert res.step_size_trace[-1] == cfg.gamma
+
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_stage_descent_never_offers_it(self, geom, monkeypatch):
+        """A growth stage projects onto s-1 points, so no iterate has s."""
+        taken = self._spy(monkeypatch)
+        inst = generate_instance(geom, 10, 1000, 0.0, 90000)
+        x0 = np.zeros(inst.n)
+        x0[list(solver.anchor_bins(inst))] = 1.0
+        cfg = SolverConfig(epsilon=solver._STAGE_EPSILON)
+        res = _descend(inst, cfg, x0, lambda z: project_sparse_box(z, inst.s - 1),
+                       solver._stage_scale(inst))
+        assert taken == []
+        assert res.stop_reason is StopReason.CONVERGED
+        assert res.final_step_norm <= cfg.epsilon
+
+    def test_noisy_histogram_declines_it(self, monkeypatch):
+        """The `iht_noisy` benchmark's turnpike instance: y is perturbed, so
+        the s-point support the descent reaches is offered and declined."""
+        inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 2e-4, 90000)
+        assert not np.array_equal(inst.op.forward(inst.true_indicator()), inst.y)
+        taken = self._spy(monkeypatch)
+        res = multi_start(inst, SolverConfig(seed=1))
+        assert taken and not any(taken)
+        assert res.stop_reason is StopReason.CONVERGED
+        assert res.final_step_norm <= SolverConfig().epsilon
+
+    def test_total_iterations_count_the_pursuit_step(self, monkeypatch):
+        taken = self._spy(monkeypatch)
+        steps = [0]
+        armijo_step = solver.armijo_step
+
+        def counted_armijo_step(*args, **kwargs):
+            step = armijo_step(*args, **kwargs)
+            steps[0] += 1
+            return step
+
+        monkeypatch.setattr(solver, "armijo_step", counted_armijo_step)
+        inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 90000)
+        res = multi_start(inst, SolverConfig(seed=1))
+        assert sum(taken) == 1
+        assert res.total_iterations == steps[0] + 1
 
 
 class TestIhtSolve:
