@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tests/bench_record.py pr17
+    python3 tests/bench_record.py TAG
 
 It records three things, each from an unmodified command, and the
 environment they ran in:
@@ -21,8 +21,7 @@ environment they ran in:
 The commands run one after another, each in its own process with the
 BLAS and OpenMP pools pinned to one thread, and the file is written only
 when all of them succeed.  The perfbench runs take 6 minutes and the
-grid about 2 more on a 2-core x86 box; --seconds shortens the runs for a
-quick try, and the file records the length used.
+rest under a minute on a 2-core x86 box.
 """
 
 import argparse
@@ -41,11 +40,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("iht_published", "iht_large", "l1pgd_baseline", "iht_noisy")
 SEEDS = (1, 2, 3)
+SECONDS = 30
 SCALES = "10:1000,20:2000"
 GRID = ["bench", "--scales", SCALES, "--trials", "2", "--seed", "0"]
-FINGERPRINT_FIELDS = ("workload", "label", "digest", "f_final", "start_index",
-                      "iterations", "stop_reason", "stationarity_residual",
-                      "starts_run", "total_iterations")
 
 
 def _env() -> dict:
@@ -68,13 +65,13 @@ def _git(*args) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def perfbench(seconds: float) -> dict:
+def perfbench() -> dict:
     out = {}
     for workload in WORKLOADS:
         runs = []
         for seed in SEEDS:
             last = _run(["perfbench/run.py", "--workload", workload,
-                         "--seed", str(seed), "--seconds", str(seconds),
+                         "--seed", str(seed), "--seconds", str(SECONDS),
                          "--trace", "0"]).splitlines()[-1]
             runs.append({"seed": seed, **json.loads(last)})
             print(f"{workload} seed {seed}: {last}", file=sys.stderr)
@@ -91,13 +88,13 @@ def perfbench(seconds: float) -> dict:
 def panel_work() -> dict:
     out = {}
     for line in _run(["tests/panel_fingerprint.py"]).splitlines():
-        row = dict(zip(FINGERPRINT_FIELDS, line.split(" | ")))
-        work = out.setdefault(row["workload"], {"starts_run": 0,
-                                                "total_iterations": 0,
-                                                "instances": {}})
-        starts, steps = int(row["starts_run"]), int(row["total_iterations"])
-        work["instances"][row["label"]] = {"starts_run": starts,
-                                           "total_iterations": steps}
+        # workload | label | ... | starts_run | total_iterations
+        workload, label, *_, starts, steps = line.split(" | ")
+        starts, steps = int(starts), int(steps)
+        work = out.setdefault(workload, {"starts_run": 0, "total_iterations": 0,
+                                         "instances": {}})
+        work["instances"][label] = {"starts_run": starts,
+                                    "total_iterations": steps}
         work["starts_run"] += starts
         work["total_iterations"] += steps
     return out
@@ -131,8 +128,6 @@ def grid(tmp: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tag", help="the file written is BENCH_<tag>.json")
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="length of each perfbench run (default 30)")
     args = parser.parse_args()
     tmp = ROOT / ".bench_build"
     tmp.mkdir(exist_ok=True)
@@ -149,8 +144,8 @@ def main() -> int:
             "blas_threads": 1,
         },
         "perfbench": {"command": "perfbench/run.py --workload W --seed S "
-                                 f"--seconds {args.seconds:g} --trace 0",
-                      "seeds": list(SEEDS), "workloads": perfbench(args.seconds)},
+                                 f"--seconds {SECONDS} --trace 0",
+                      "seeds": list(SEEDS), "workloads": perfbench()},
         "panel": panel_work(),
         "grid": grid(tmp),
     }
