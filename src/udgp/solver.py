@@ -61,12 +61,12 @@ class BacktrackExhausted(Exception):
 
 
 class NumericError(RuntimeError):
-    """Non-finite objective; carries the offending iterate for inspection."""
+    """Non-finite objective at a descent's start, which only y can cause
+    (see `_descend`); carries that start for inspection."""
 
-    def __init__(self, message: str, iterate: np.ndarray, iteration: int):
+    def __init__(self, message: str, iterate: np.ndarray):
         super().__init__(message)
         self.iterate = iterate
-        self.iteration = iteration
 
 
 @dataclass
@@ -183,27 +183,27 @@ def _fixed_point_residual(x, tau, instance, project, r=None, support=None) -> fl
     return float(np.linalg.norm(x - project(x - tau * g)))
 
 
-def _pursuit_step(x, f_x, support, instance, config, scale=1.0) -> Step | None:
+def _pursuit_step(x, f_x, support, instance, config) -> Step | None:
     """Hard thresholding pursuit's last step from an s-point iterate x.
 
     On a support S of s bins the least-squares fit that hard thresholding
     pursuit solves for is, when S is an answer, S's indicator x_b: its lag
     counts equal y, so f(x_b) = 0 and grad f(x_b) = 0, a fixed point of
     either projection and a global minimiser.  Returns x_b as an accepted
-    step (objective 0, exponent 0) when its rounded lag counts equal y, as
-    in `binary_misfit`, and it passes the sufficient-decrease rule from x;
-    otherwise None.
+    step (objective 0, step size gamma, exponent 0) when it fits y exactly
+    (`_fits` with budget 0) and passes the sufficient-decrease rule from
+    x; otherwise None.
     """
     xb = np.zeros(instance.n)
     xb[support] = 1.0
-    if not np.array_equal(np.rint(instance.op.forward(xb)), instance.y):
+    if not _fits(instance, xb, 0):
         return None
     diff = x - xb
     step_sq = float(diff @ diff)
     if f_x < 0.5 * config.delta * step_sq:
         return None
-    return Step(xb, 0.0, config.gamma * scale, 0, step_sq,
-                np.zeros(instance.op.m), support)
+    return Step(xb, 0.0, config.gamma, 0, step_sq, np.zeros(instance.op.m),
+                support)
 
 
 def _descend(instance, config, x0, project, scale=1.0) -> SolveResult:
@@ -213,6 +213,10 @@ def _descend(instance, config, x0, project, scale=1.0) -> SolveResult:
     and support come from the Armijo step that accepted it, so every
     iteration costs one gradient, the projections and one evaluation per
     candidate tried, and no iterate is evaluated twice.
+
+    A non-finite f(x0) raises NumericError, the only finiteness check:
+    later iterates lie in [0,1]^n, with lag counts of at most n, so f is
+    finite there exactly when it is at a finite x0.
 
     The loop stops at a step no longer than epsilon, or at an exact fit:
     the first time an accepted iterate holds a new support of exactly s
@@ -225,19 +229,17 @@ def _descend(instance, config, x0, project, scale=1.0) -> SolveResult:
     op, y = instance.op, instance.y
     x = np.array(x0, dtype=float)
     f_x, r, support = op.evaluate(x, y)
+    if not math.isfinite(f_x):
+        raise NumericError(f"objective is non-finite ({f_x}) at the start", x)
     obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
     last_tau = config.gamma * scale
     offered = None  # support bytes of the last iterate offered to pursuit
     for k in range(config.max_iters):
-        if not math.isfinite(f_x):
-            raise NumericError(
-                f"objective became non-finite ({f_x}) at iteration {k}", x, k
-            )
         step = None
         if k and support.size == instance.s and support.tobytes() != offered:
             offered = support.tobytes()
-            step = _pursuit_step(x, f_x, support, instance, config, scale)
+            step = _pursuit_step(x, f_x, support, instance, config)
         pursued = step is not None
         if not pursued:
             grad = op.gradient(x, y, r, support)
@@ -272,7 +274,7 @@ def iht_solve(instance, config: SolverConfig, x0) -> SolveResult:
     """Hard-thresholding projected gradient descent from a feasible x0."""
     s = instance.s
     x0 = np.asarray(x0, dtype=float)
-    if np.any(x0 < 0.0) or np.any(x0 > 1.0):
+    if not np.all((x0 >= 0.0) & (x0 <= 1.0)):  # NaN fails too
         raise ValueError("x0 must lie in the unit box")
     if np.count_nonzero(x0) > s:
         raise ValueError(f"x0 has more than s={s} nonzeros")
@@ -282,16 +284,17 @@ def iht_solve(instance, config: SolverConfig, x0) -> SolveResult:
 def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
     """Projected gradient descent on the capped simplex (the l1 baseline).
 
-    x0 is projected onto the feasible set first if it is not already on
-    it.  Iterates are generally dense; the recovery pipeline handles the
+    x0 must be finite, and is projected onto the feasible set first: an
+    s-point indicator comes back bit for bit, a feasible fractional x0
+    within rounding.  Iterates are generally dense; the recovery pipeline handles the
     fractional mass when extracting positions.
     """
     s = instance.s
     x0 = np.asarray(x0, dtype=float)
-    if (np.any(x0 < 0.0) or np.any(x0 > 1.0)
-            or abs(float(x0.sum()) - s) > 1e-9):
-        x0 = project_capped_simplex(x0, s)
-    return _descend(instance, config, x0, lambda z: project_capped_simplex(z, s))
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    project = lambda z: project_capped_simplex(z, s)
+    return _descend(instance, config, project(x0), project)
 
 
 def stationarity_residual(x, tau: float, instance) -> float:
@@ -317,7 +320,6 @@ _VIOLATION_KINDS = ("interior_grad_nonzero", "upper_bound_grad_positive",
 @dataclass
 class StationarityReport:
     passed: bool
-    tol: float
     violations: list = field(default_factory=list)  # (kind, index, gradient value)
 
 
@@ -340,7 +342,7 @@ def check_l_stationarity(x, instance, tol: float = 1e-6) -> StationarityReport:
     kind = np.where(interior, 0, np.where(upper, 1, 2))
     violations = [(_VIOLATION_KINDS[kind[p]], int(p), float(g[p]))
                   for p in np.flatnonzero(bad)]
-    return StationarityReport(passed=not violations, tol=tol, violations=violations)
+    return StationarityReport(passed=not violations, violations=violations)
 
 
 def _philox(seed: int, start: int, stage: int) -> np.random.Generator:
@@ -571,40 +573,29 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
     repaired indicator is solved once more by the start's own solver, so
     the answer is a fixed point of its method's iteration, and its
     `iterations` counts only that re-solve.  With max_iters = 0 each
-    start is returned as built, unrepaired.  Numeric failures in
-    individual starts are swallowed unless every start fails; their
-    steps are not counted.
+    start is returned as built, unrepaired.
     """
     if method not in ("iht", "l1pgd"):
         raise ValueError(f"unknown method {method!r}")
     solve = iht_solve if method == "iht" else l1pgd_solve
     budget = misfit_budget(instance)
     best: SolveResult | None = None
-    last_error: NumericError | None = None
     total_iterations = 0
     for start in range(config.restarts + 1):
-        try:
-            result = _guided_start(instance, config, start, solve)
-            fit = _fits(instance, result.x_final, budget)
-            if not fit and config.max_iters > 0:
-                repaired = _repair(instance, result.x_final, budget)
-                if repaired is not None:
-                    total_iterations += result.total_iterations
-                    result = solve(instance, config, repaired)
-                    fit = _fits(instance, result.x_final, budget)
-        except NumericError as err:
-            last_error = err
-            continue
+        result = _guided_start(instance, config, start, solve)
+        fit = _fits(instance, result.x_final, budget)
+        if not fit and config.max_iters > 0:
+            repaired = _repair(instance, result.x_final, budget)
+            if repaired is not None:
+                total_iterations += result.total_iterations
+                result = solve(instance, config, repaired)
+                fit = _fits(instance, result.x_final, budget)
         total_iterations += result.total_iterations
         result.start_index = start
+        if fit or best is None or result.f_final < best.f_final:
+            best = result
         if fit:
-            best = result
             break
-        if best is None or result.f_final < best.f_final:
-            best = result
-    if best is None:
-        assert last_error is not None
-        raise last_error
     best.starts_run = start + 1
     best.total_iterations = total_iterations
     return best

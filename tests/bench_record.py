@@ -15,8 +15,12 @@ environment they ran in:
   workload;
 - `udgp bench --scales 10:1000,20:2000 --trials 2 --seed 0`: every cell
   row (mean Co.P, mean solve time, the time ratio and, where the CSV has
-  it, the homometric trial count).  The (30,4000) cells are left out:
-  their xi = 7e-5 trials run all 50 starts, minutes per trial.
+  it, the homometric trial count), and per cell the `starts_run` and
+  `total_iterations` summed over its trials from the `.trials.csv`.  The
+  (30,4000) cells are left out: their xi = 7e-5 trials run all 50
+  starts, minutes per trial.  `mean_time_s` is raw wall time over two
+  trials on whatever else the machine runs, so it cannot be compared
+  between files; the seeded work sums can.
 
 The commands run one after another, each in its own process with the
 BLAS and OpenMP pools pinned to one thread, and the file is written only
@@ -100,14 +104,24 @@ def panel_work() -> dict:
     return out
 
 
+def _csv_rows(path: Path) -> list[dict]:
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
 def grid(tmp: Path) -> dict:
     out = tmp / "grid.csv"
     t0 = time.perf_counter()
     _run(["-m", "udgp.cli", *GRID, "--out", str(out)])
     wall = time.perf_counter() - t0
-    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    work = {}
+    for row in _csv_rows(Path(f"{out}.trials.csv")):
+        key = tuple(row[k] for k in ("geometry", "s", "n", "xi", "method"))
+        sums = work.setdefault(key, {"starts_run": 0, "total_iterations": 0})
+        sums["starts_run"] += int(row["starts_run"])
+        sums["total_iterations"] += int(row["total_iterations"])
     cells = []
-    for row in csv.DictReader(lines):
+    for row in _csv_rows(out):
         cell = {"geometry": row["geometry"], "s": int(row["s"]),
                 "n": int(row["n"]), "xi": float(row["xi"]),
                 "method": row["method"], "trials": int(row["trials"]),
@@ -117,8 +131,14 @@ def grid(tmp: Path) -> dict:
             cell["time_ratio_iht_vs_l1pgd"] = float(row["time_ratio_iht_vs_l1pgd"])
         if "homometric_trials" in row:
             cell["homometric_trials"] = int(row["homometric_trials"])
+        cell.update(work[tuple(row[k] for k in ("geometry", "s", "n", "xi",
+                                                "method"))])
         cells.append(cell)
     return {"command": "udgp " + " ".join(GRID), "wall_s": wall,
+            "mean_time_s": "raw wall seconds over 2 trials on a shared "
+                           "machine: not comparable between BENCH files; "
+                           "starts_run and total_iterations (sums over the "
+                           "cell's trials) are seeded and are",
             "left_out": "(30,4000): its xi = 7e-5 trials run all 50 starts, "
                         "minutes per trial, until noisy answers are judged "
                         "by transport misfit (ROADMAP item 3)",

@@ -82,7 +82,7 @@ def armijo_step_reference(x, grad, f_x, instance, config, project, scale=1.0):
     raise BacktrackExhausted("no backtrack exponent gave sufficient decrease")
 
 
-def pursuit_step_reference(x, f_x, instance, config, scale=1.0):
+def pursuit_step_reference(x, f_x, instance, config):
     """Reference pursuit step: the indicator x_b of x's support, scored by
     `binary_misfit` and evaluated through `objective`.
 
@@ -94,7 +94,7 @@ def pursuit_step_reference(x, f_x, instance, config, scale=1.0):
     f_b = instance.op.objective(xb, instance.y)
     if f_x - f_b < 0.5 * config.delta * float((x - xb) @ (x - xb)):
         return None
-    return xb, f_b, config.gamma * scale, 0
+    return xb, f_b, config.gamma, 0
 
 
 def descend_reference(instance, config, x0, project, scale=1.0) -> SolveResult:
@@ -115,7 +115,7 @@ def descend_reference(instance, config, x0, project, scale=1.0) -> SolveResult:
         support = tuple(np.flatnonzero(x))
         if k > 0 and len(support) == instance.s and support != offered:
             offered = support
-            pursuit = pursuit_step_reference(x, f_x, instance, config, scale)
+            pursuit = pursuit_step_reference(x, f_x, instance, config)
         if pursuit is not None:
             x_next, f_next, tau, t = pursuit
         else:
@@ -166,7 +166,7 @@ def check_l_stationarity_loop(x, instance, tol: float = 1e-6) -> StationarityRep
         elif nnz < instance.s:
             if g[p] < -tol:
                 violations.append(("zero_grad_negative", p, float(g[p])))
-    return StationarityReport(passed=not violations, tol=tol, violations=violations)
+    return StationarityReport(passed=not violations, violations=violations)
 
 
 def random_support_start(n: int, s: int, seed: int, start_index: int) -> np.ndarray:

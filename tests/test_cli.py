@@ -223,7 +223,7 @@ class TestSolve:
 
     def test_numeric_failure_exits_4(self, instance_file, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
-            raise NumericError("objective became non-finite", np.zeros(40), 0)
+            raise NumericError("objective became non-finite", np.zeros(40))
 
         monkeypatch.setattr("udgp.cli.multi_start", fail)
         assert run(["solve", "--in", str(instance_file),

@@ -25,6 +25,23 @@ class TestL1pgdSolve:
         assert res.objective_trace[0] == pytest.approx(
             inst.op.objective(project_capped_simplex(np.zeros(50), 4), inst.y))
 
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_indicator_start_is_projected_unchanged(self, geom):
+        """Every start is projected, and an s-point indicator, the start a
+        repair hands the solver, comes back bit for bit."""
+        inst = generate_instance(geom, 10, 1000, 0.0, 3)
+        x0 = inst.true_indicator()
+        res = l1pgd_solve(inst, SolverConfig(max_iters=0), x0)
+        assert res.x_final.tobytes() == x0.tobytes()
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, entry):
+        inst = generate_instance(Geometry.TURNPIKE, 5, 60, 0.0, 1)
+        x0 = random_support_start(inst.n, inst.s, 0, 0)
+        x0[0] = entry
+        with pytest.raises(ValueError):
+            l1pgd_solve(inst, SolverConfig(), x0)
+
     def test_iterates_stay_on_capped_simplex(self):
         inst = generate_instance(Geometry.BELTWAY, 4, 40, 0.0, 5)
         cfg = SolverConfig()

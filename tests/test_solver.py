@@ -373,6 +373,9 @@ class TestIhtSolve:
         bad[0] = 1.5
         with pytest.raises(ValueError):
             iht_solve(inst, SolverConfig(), bad)
+        bad[0] = np.nan  # passes a test for entries below 0 or above 1
+        with pytest.raises(ValueError):
+            iht_solve(inst, SolverConfig(), bad)
 
     def test_non_finite_objective_raises_with_iterate(self):
         inst = small_instance()
@@ -384,6 +387,8 @@ class TestIhtSolve:
         with pytest.raises(NumericError) as err:
             iht_solve(bad, SolverConfig(), x0)
         assert err.value.iterate.shape == (inst.n,)
+        with pytest.raises(NumericError):  # checked at x0, before any step
+            iht_solve(bad, SolverConfig(max_iters=0), x0)
 
     def test_backtracking_can_exhaust(self):
         inst = small_instance(n=30, s=4, seed=2)
@@ -574,6 +579,23 @@ class TestMultiStart:
                        noise_sigma=0.0, seed=0)
         with pytest.raises(NumericError):
             multi_start(bad, SolverConfig(restarts=2))
+
+    def test_non_finite_y_raises_at_the_first_start(self, monkeypatch):
+        """Every start lies in the unit box and shares y, so the first
+        start's failure is every start's: no other start runs."""
+        calls = [0]
+        guided_start = solver._guided_start
+
+        def counted_guided_start(*args, **kwargs):
+            calls[0] += 1
+            return guided_start(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_guided_start", counted_guided_start)
+        inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 1)
+        bad = replace(inst, y=np.full(inst.n - 1, np.nan))
+        with pytest.raises(NumericError):
+            multi_start(bad, SolverConfig())
+        assert calls[0] == 1
 
 
 def _indicator(n, bins):
