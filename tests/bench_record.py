@@ -136,9 +136,9 @@ def grid(tmp: Path) -> dict:
         cells.append(cell)
     return {"command": "udgp " + " ".join(GRID), "wall_s": wall,
             "mean_time_s": "raw wall seconds over 2 trials on a shared "
-                           "machine: not comparable between BENCH files; "
-                           "starts_run and total_iterations (sums over the "
-                           "cell's trials) are seeded and are",
+                           "machine, not comparable between BENCH files; "
+                           "compare cells by starts_run and "
+                           "total_iterations, seeded sums over their trials",
             "left_out": "(30,4000): its xi = 7e-5 trials run all 50 starts, "
                         "minutes per trial, until noisy answers are judged "
                         "by transport misfit (ROADMAP item 3)",
