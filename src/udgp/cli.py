@@ -18,7 +18,8 @@ from . import __version__
 from .instances import (Geometry, check_cell, extract_positions,
                         generate_instance, load_instance, save_instance,
                         score_recovery)
-from .solver import (NumericError, SolverConfig, binary_misfit,
+from .solver import (_ALPHA, _DELTA, _EPSILON, _GAMMA, _MAX_BACKTRACKS,
+                     NumericError, SolverConfig, binary_misfit,
                      misfit_budget, multi_start)
 
 BENCH_SCALES = [(10, 1000), (20, 2000), (30, 4000)]
@@ -264,9 +265,9 @@ def _config_comments(args, config: SolverConfig, methods) -> list[str]:
         f"# udgp bench v{__version__}",
         f"# trials={args.trials} master_seed={args.seed} "
         f"methods={','.join(methods)}",
-        f"# gamma={config.gamma} alpha={config.alpha} delta={config.delta} "
-        f"epsilon={config.epsilon} max_iters={config.max_iters} "
-        f"max_backtracks={config.max_backtracks} restarts={config.restarts}",
+        f"# gamma={_GAMMA} alpha={_ALPHA} delta={_DELTA} epsilon={_EPSILON} "
+        f"max_iters={config.max_iters} max_backtracks={_MAX_BACKTRACKS} "
+        f"restarts={config.restarts}",
         "# timing covers the solve call only (generation and scoring excluded)",
     ]
 

@@ -269,9 +269,10 @@ def instance_to_json(instance: Instance) -> str:
 
 def instance_from_json(text: str) -> Instance:
     """Parse one record, rejecting any whose n, s or seed is not an
-    integer, whose xi is not finite and nonnegative, whose histogram no s
-    points make or whose true positions are not s distinct grid bins of
-    the unit segment or circle."""
+    integer, whose xi, y or true positions are not JSON numbers, whose xi
+    is not finite and nonnegative, whose histogram no s points make or
+    whose true positions are not s distinct grid bins of the unit segment
+    or circle."""
     rec = json.loads(text)
     if not isinstance(rec, dict):
         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
@@ -280,12 +281,19 @@ def instance_from_json(text: str) -> Instance:
     if not all(type(v) is int for v in (n, s, seed)):  # no float, bool or str
         raise ValueError("n, s and seed must be integers, got "
                          f"{n!r}, {s!r}, {seed!r}")
-    try:  # null, a list or an object where a number or a list of numbers goes
-        xi = float(rec["xi"])
-        y = np.asarray(rec["y"], dtype=float)
-        pos = np.asarray(rec["true_positions"], dtype=float)
-    except TypeError as err:
-        raise ValueError(f"xi, y and true_positions must be numeric: {err}") from None
+    xi, y, pos = rec["xi"], rec["y"], rec["true_positions"]
+    # JSON numbers only: no bool, str, null, list or object in their place
+    if not (type(xi) in (int, float)
+            and all(type(v) is list and all(type(e) in (int, float) for e in v)
+                    for v in (y, pos))):
+        raise ValueError("xi must be a number, and y and true_positions "
+                         "lists of numbers")
+    try:  # an integer past float's range
+        xi = float(xi)
+        y = np.asarray(y, dtype=float)
+        pos = np.asarray(pos, dtype=float)
+    except OverflowError as err:
+        raise ValueError(f"xi, y and true_positions must fit a float: {err}") from None
     _check_noise(xi)
     if y.shape != (n - 1,):
         raise ValueError(f"histogram length {y.size} does not match n={n}")

@@ -35,7 +35,7 @@ and sign conditions a converged iterate must satisfy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -56,7 +56,7 @@ class BacktrackExhausted(Exception):
     """No backtracking exponent satisfied the decrease rule.
 
     A suitable exponent always exists mathematically, so hitting this
-    means max_backtracks is too small or the iterate is numerically bad.
+    means `_MAX_BACKTRACKS` is too small or the iterate is numerically bad.
     """
 
 
@@ -69,40 +69,27 @@ class NumericError(RuntimeError):
         self.iterate = iterate
 
 
+_GAMMA = 0.99           # the solvers' base step
+_ALPHA = 0.5            # backtracking ratio: try t uses tau0 * _ALPHA^t
+_DELTA = 1e-4           # sufficient-decrease constant
+_EPSILON = 1e-8         # step-norm tolerance of the solvers' descents
+_MAX_BACKTRACKS = 60    # tries per step after t = 0
+
+
 @dataclass
 class SolverConfig:
-    """Hyperparameters shared by both solvers.
+    """What callers choose per solve: max_iters caps each descent's steps,
+    restarts is the number of extra starts `multi_start` runs, and seed
+    keys the random draws that vary them.  The step rule is fixed (`_GAMMA`,
+    `_ALPHA`, `_DELTA`, `_EPSILON`, `_MAX_BACKTRACKS`)."""
 
-    gamma is the base step, alpha the backtracking ratio (step t uses
-    gamma * alpha^t), delta the sufficient-decrease constant, epsilon the
-    step-norm stopping tolerance.
-
-    The remaining fields drive `multi_start`: restarts is the number of
-    extra starts, and seed keys the random draws that vary them.
-    """
-
-    gamma: float = 0.99
-    alpha: float = 0.5
-    delta: float = 1e-4
-    epsilon: float = 1e-8
     max_iters: int = 5000
-    max_backtracks: int = 60
     restarts: int = 49
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.max_backtracks < 1:
-            raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
         if self.restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
 
@@ -140,20 +127,21 @@ class Step(NamedTuple):
 
     x: np.ndarray           # the accepted iterate x_next
     f: float                # f(x_next)
-    tau: float              # accepted step size gamma * scale * alpha^t
+    tau: float              # accepted step size tau0 * alpha^t
     t: int                  # accepted backtrack exponent
     step_sq: float          # ||x - x_next||^2
     r: np.ndarray           # residual forward(x_next) - y
     support: np.ndarray     # flatnonzero(x_next)
 
 
-def armijo_step(x, grad, f_x, instance, config, project, scale=1.0) -> Step:
+def armijo_step(x, grad, f_x, instance, project, tau0) -> Step:
     """Smallest backtracking exponent passing the sufficient-decrease rule.
 
-    Tries t = 0, 1, ..., max_backtracks; for each, forms the candidate
-    project(x - gamma * scale * alpha^t * grad) and accepts the first one
-    whose objective drop is at least (delta/2) times the squared step
-    length.  The solvers use scale 1, growth stages `_stage_scale`.
+    Tries t = 0, 1, ..., `_MAX_BACKTRACKS`; for each, forms the candidate
+    project(x - tau0 * _ALPHA^t * grad) and accepts the first one whose
+    objective drop is at least (_DELTA/2) times the squared step length.
+    The solvers' base step tau0 is `_GAMMA`, growth stages' is
+    _GAMMA * `_stage_scale`.
 
     Each candidate is evaluated once (`LagOperator.evaluate`), and the
     accepted one's residual and support come back in the `Step`, so the
@@ -161,16 +149,16 @@ def armijo_step(x, grad, f_x, instance, config, project, scale=1.0) -> Step:
     BacktrackExhausted if no exponent works.
     """
     op, y = instance.op, instance.y
-    for t in range(config.max_backtracks + 1):
-        tau = config.gamma * scale * config.alpha**t
+    for t in range(_MAX_BACKTRACKS + 1):
+        tau = tau0 * _ALPHA**t
         x_next = project(x - tau * grad)
         f_next, r, support = op.evaluate(x_next, y)
         diff = x - x_next
         step_sq = float(diff @ diff)
-        if f_x - f_next >= 0.5 * config.delta * step_sq:
+        if f_x - f_next >= 0.5 * _DELTA * step_sq:
             return Step(x_next, f_next, tau, t, step_sq, r, support)
     raise BacktrackExhausted(
-        f"no backtrack exponent t <= {config.max_backtracks} gave sufficient decrease"
+        f"no backtrack exponent t <= {_MAX_BACKTRACKS} gave sufficient decrease"
     )
 
 
@@ -183,14 +171,14 @@ def _fixed_point_residual(x, tau, instance, project, r=None, support=None) -> fl
     return float(np.linalg.norm(x - project(x - tau * g)))
 
 
-def _pursuit_step(x, f_x, support, instance, config) -> Step | None:
+def _pursuit_step(x, f_x, support, instance) -> Step | None:
     """Hard thresholding pursuit's last step from an s-point iterate x.
 
     On a support S of s bins the least-squares fit that hard thresholding
     pursuit solves for is, when S is an answer, S's indicator x_b: its lag
     counts equal y, so f(x_b) = 0 and grad f(x_b) = 0, a fixed point of
     either projection and a global minimiser.  Returns x_b as an accepted
-    step (objective 0, step size gamma, exponent 0) when it fits y exactly
+    step (objective 0, step size `_GAMMA`, exponent 0) when it fits y exactly
     (`_fits` with budget 0) and passes the sufficient-decrease rule from
     x; otherwise None.
     """
@@ -200,14 +188,14 @@ def _pursuit_step(x, f_x, support, instance, config) -> Step | None:
         return None
     diff = x - xb
     step_sq = float(diff @ diff)
-    if f_x < 0.5 * config.delta * step_sq:
+    if f_x < 0.5 * _DELTA * step_sq:
         return None
-    return Step(xb, 0.0, config.gamma, 0, step_sq, np.zeros(instance.op.m),
-                support)
+    return Step(xb, 0.0, _GAMMA, 0, step_sq, np.zeros(instance.op.m), support)
 
 
-def _descend(instance, config, x0, project, scale=1.0) -> SolveResult:
-    """Projected-gradient loop over `project`'s set, base step gamma * scale.
+def _descend(instance, x0, project, max_iters, tau0, epsilon) -> SolveResult:
+    """Projected-gradient loop over `project`'s set: at most max_iters
+    Armijo steps (`armijo_step`) from base step tau0.
 
     x0 is evaluated once; after that each iterate's objective, residual
     and support come from the Armijo step that accepted it, so every
@@ -233,18 +221,18 @@ def _descend(instance, config, x0, project, scale=1.0) -> SolveResult:
         raise NumericError(f"objective is non-finite ({f_x}) at the start", x)
     obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
-    last_tau = config.gamma * scale
+    last_tau = tau0
     offered = None  # support bytes of the last iterate offered to pursuit
-    for k in range(config.max_iters):
+    for k in range(max_iters):
         step = None
         if k and support.size == instance.s and support.tobytes() != offered:
             offered = support.tobytes()
-            step = _pursuit_step(x, f_x, support, instance, config)
+            step = _pursuit_step(x, f_x, support, instance)
         pursued = step is not None
         if not pursued:
             grad = op.gradient(x, y, r, support)
             try:
-                step = armijo_step(x, grad, f_x, instance, config, project, scale)
+                step = armijo_step(x, grad, f_x, instance, project, tau0)
             except BacktrackExhausted:
                 stop = StopReason.BACKTRACK_EXHAUSTED
                 break
@@ -254,7 +242,7 @@ def _descend(instance, config, x0, project, scale=1.0) -> SolveResult:
         bt_trace.append(step.t)
         step_trace.append(math.sqrt(step.step_sq))
         last_tau = step.tau
-        if pursued or step_trace[-1] <= config.epsilon:
+        if pursued or step_trace[-1] <= epsilon:
             stop = StopReason.CONVERGED
             break
     resid = _fixed_point_residual(x, last_tau, instance, project, r, support)
@@ -278,7 +266,8 @@ def iht_solve(instance, config: SolverConfig, x0) -> SolveResult:
         raise ValueError("x0 must lie in the unit box")
     if np.count_nonzero(x0) > s:
         raise ValueError(f"x0 has more than s={s} nonzeros")
-    return _descend(instance, config, x0, lambda z: project_sparse_box(z, s))
+    return _descend(instance, x0, lambda z: project_sparse_box(z, s),
+                    config.max_iters, _GAMMA, _EPSILON)
 
 
 def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
@@ -294,7 +283,8 @@ def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     project = lambda z: project_capped_simplex(z, s)
-    return _descend(instance, config, project(x0), project)
+    return _descend(instance, project(x0), project, config.max_iters, _GAMMA,
+                    _EPSILON)
 
 
 def stationarity_residual(x, tau: float, instance) -> float:
@@ -446,10 +436,11 @@ def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveRes
     Begins from the anchored pair, its own first stage (its lag is
     observed, so a step at sparsity 2 returns it), and raises the sparsity
     budget one unit at a time from 3; each stage runs a loose
-    hard-thresholding descent at base step gamma * `_stage_scale` during
-    which the projection births (at most) one new support coordinate where
-    the residual wants it.  The (s-1)-sparse result is handed to `solve`,
-    `iht_solve` or `l1pgd_solve`, which keeps gamma, so both methods
+    hard-thresholding descent at base step _GAMMA * `_stage_scale`, to
+    tolerance `_STAGE_EPSILON`, during which the projection births (at
+    most) one new support coordinate where the residual wants it.  The
+    (s-1)-sparse result is handed to `solve`, `iht_solve` or
+    `l1pgd_solve`, which keeps base step _GAMMA, so both methods
     descend from the same iterate.  Start 0 lets every stage take its
     greedy-best entry; later starts add the entering bin, drawn among the
     top few candidates, and on the circle also rotate the anchor lag.
@@ -457,8 +448,7 @@ def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveRes
     n, s = instance.n, instance.s
     x = np.zeros(n)
     x[list(anchor_bins(instance, start))] = 1.0
-    stage_config = replace(config, epsilon=_STAGE_EPSILON)
-    kappa = _stage_scale(instance)
+    tau0 = _GAMMA * _stage_scale(instance)
     stage_iterations = 0
     for sp in range(3, s):
         if start > 0:
@@ -468,8 +458,8 @@ def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveRes
             cand = cand[np.argsort(g[cand], kind="stable")]
             pick = int(_philox(config.seed, start, sp).integers(0, cand.size))
             x[cand[pick]] = 1.0
-        stage = _descend(instance, stage_config, x,
-                         lambda z: project_sparse_box(z, sp), kappa)
+        stage = _descend(instance, x, lambda z: project_sparse_box(z, sp),
+                         config.max_iters, tau0, _STAGE_EPSILON)
         x = stage.x_final
         stage_iterations += stage.iterations
     result = solve(instance, config, x)

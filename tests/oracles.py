@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from udgp import Geometry, LagOperator, StationarityReport
+from udgp import Geometry, LagOperator, StationarityReport, solver
 from udgp.instances import _ENTRY_FLOOR, _MIN_CLUSTER_MASS
 from udgp.solver import (BacktrackExhausted, SolveResult, StopReason, _philox,
                          binary_misfit)
@@ -67,22 +67,24 @@ def project_sparse_box_two_scan(z, s: int) -> np.ndarray:
     return x
 
 
-def armijo_step_reference(x, grad, f_x, instance, config, project, scale=1.0):
-    """Reference Armijo search: each candidate through `objective`.
+def armijo_step_reference(x, grad, f_x, instance, project, tau0):
+    """Reference Armijo search: each candidate through `objective`.  The
+    step rule's constants are read from `udgp.solver` at each call, so a
+    test that patches one patches it here too.
 
     Returns (x_next, f_next, tau, t)."""
     op, y = instance.op, instance.y
-    for t in range(config.max_backtracks + 1):
-        tau = config.gamma * scale * config.alpha**t
+    for t in range(solver._MAX_BACKTRACKS + 1):
+        tau = tau0 * solver._ALPHA**t
         x_next = project(x - tau * grad)
         f_next = op.objective(x_next, y)
         diff = x - x_next
-        if f_x - f_next >= 0.5 * config.delta * float(diff @ diff):
+        if f_x - f_next >= 0.5 * solver._DELTA * float(diff @ diff):
             return x_next, f_next, tau, t
     raise BacktrackExhausted("no backtrack exponent gave sufficient decrease")
 
 
-def pursuit_step_reference(x, f_x, instance, config):
+def pursuit_step_reference(x, f_x, instance):
     """Reference pursuit step: the indicator x_b of x's support, scored by
     `binary_misfit` and evaluated through `objective`.
 
@@ -92,12 +94,13 @@ def pursuit_step_reference(x, f_x, instance, config):
     if binary_misfit(instance, xb) != 0.0:
         return None
     f_b = instance.op.objective(xb, instance.y)
-    if f_x - f_b < 0.5 * config.delta * float((x - xb) @ (x - xb)):
+    if f_x - f_b < 0.5 * solver._DELTA * float((x - xb) @ (x - xb)):
         return None
-    return xb, f_b, config.gamma, 0
+    return xb, f_b, solver._GAMMA, 0
 
 
-def descend_reference(instance, config, x0, project, scale=1.0) -> SolveResult:
+def descend_reference(instance, x0, project, max_iters, tau0,
+                      epsilon) -> SolveResult:
     """Reference projected-gradient loop: every iterate's objective and
     gradient are computed afresh from x, nothing is carried over.  An
     iterate after the first with s nonzeros, on a support not offered
@@ -108,21 +111,21 @@ def descend_reference(instance, config, x0, project, scale=1.0) -> SolveResult:
     f_x = op.objective(x, y)
     obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
-    last_tau = config.gamma * scale
+    last_tau = tau0
     offered = None
-    for k in range(config.max_iters):
+    for k in range(max_iters):
         pursuit = None
         support = tuple(np.flatnonzero(x))
         if k > 0 and len(support) == instance.s and support != offered:
             offered = support
-            pursuit = pursuit_step_reference(x, f_x, instance, config)
+            pursuit = pursuit_step_reference(x, f_x, instance)
         if pursuit is not None:
             x_next, f_next, tau, t = pursuit
         else:
             grad = op.gradient(x, y)
             try:
                 x_next, f_next, tau, t = armijo_step_reference(
-                    x, grad, f_x, instance, config, project, scale)
+                    x, grad, f_x, instance, project, tau0)
             except BacktrackExhausted:
                 stop = StopReason.BACKTRACK_EXHAUSTED
                 break
@@ -134,7 +137,7 @@ def descend_reference(instance, config, x0, project, scale=1.0) -> SolveResult:
         bt_trace.append(t)
         step_trace.append(final_step)
         last_tau = tau
-        if pursuit is not None or final_step <= config.epsilon:
+        if pursuit is not None or final_step <= epsilon:
             stop = StopReason.CONVERGED
             break
     g = op.gradient(x, y)

@@ -16,12 +16,12 @@ import pytest
 from udgp import (Geometry, SolverConfig, StopReason,
                   capped_simplex_with_multiplier, check_l_stationarity,
                   extract_positions, generate_instance, multi_start,
-                  project_sparse_box, score_recovery)
+                  project_sparse_box, score_recovery, solver)
 from udgp.model import LagOperator
 
 NOISE_GRID = [0.0, 1e-5, 3e-5, 5e-5, 7e-5]
 
-# every (instance, config, result) produced by the recovery/speed criteria,
+# every (instance, result) produced by the recovery/speed criteria,
 # re-checked wholesale by criteria 8 and 9
 RUN_LOG = []
 
@@ -42,7 +42,7 @@ def _run_cell(geometry, s, n, xi, trials, method="iht", restarts=49):
         report = score_recovery(
             extract_positions(result.x_final, n, geometry), instance)
         cops.append(report.co_p)
-        RUN_LOG.append((instance, config, result))
+        RUN_LOG.append((instance, result))
     return float(np.mean(cops)), times
 
 
@@ -104,7 +104,7 @@ def test_criterion_04_speed_ordering():
             per_method[method] = float(np.median(times))
             # Armijo steps over every start, to explain the times
             per_steps[method] = sum(result.total_iterations
-                                    for _, _, result in RUN_LOG[logged:])
+                                    for _, result in RUN_LOG[logged:])
         ratio = per_method["l1pgd"] / per_method["iht"]
         ok = ok and per_method["iht"] < per_method["l1pgd"] and ratio >= 1.3
         details.append(f"{geometry.value} s={s} xi={xi:g}: "
@@ -179,15 +179,15 @@ def test_criterion_07_gradient_finite_differences():
 def test_criterion_08_descent_invariants_on_all_logged_runs():
     assert RUN_LOG, "recovery criteria must run first"
     checked, ok = 0, True
-    for _, config, result in RUN_LOG:
+    for _, result in RUN_LOG:
         f = result.objective_trace
         steps = result.step_norm_trace
         if len(steps) == 0:
             continue
         drops = f[:-1] - f[1:]
         slack = 1e-12 * np.maximum(1.0, np.abs(f[:-1]))
-        ok = ok and bool(np.all(drops >= 0.5 * config.delta * steps**2 - slack))
-        ok = ok and float(steps @ steps) <= (2.0 / config.delta) * f[0] + 1e-9
+        ok = ok and bool(np.all(drops >= 0.5 * solver._DELTA * steps**2 - slack))
+        ok = ok and float(steps @ steps) <= (2.0 / solver._DELTA) * f[0] + 1e-9
         ok = ok and bool(np.all(np.diff(f) <= 0))
         checked += 1
     _report(8, ok, f"sufficient decrease and step-sum bound hold in all "
@@ -198,11 +198,11 @@ def test_criterion_09_stationarity_of_converged_runs():
     assert RUN_LOG, "recovery criteria must run first"
     checked, ok = 0, True
     worst = 0.0
-    for instance, config, result in RUN_LOG:
+    for instance, result in RUN_LOG:
         if result.stop_reason is not StopReason.CONVERGED:
             continue
         worst = max(worst, result.stationarity_residual)
-        ok = ok and result.stationarity_residual <= 10.0 * config.epsilon
+        ok = ok and result.stationarity_residual <= 10.0 * solver._EPSILON
         ok = ok and check_l_stationarity(result.x_final, instance,
                                          tol=1e-5).passed
         checked += 1

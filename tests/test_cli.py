@@ -1,6 +1,10 @@
 """Command-line interface: records, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,9 +202,16 @@ class TestSolve:
         shared_bin = dict(off_segment, true_positions=[0.0, 0.1, 0.1, 0.7])
         rec = json.loads(instance_file.read_text())
         nan_noise = dict(rec, xi=float("nan"))
-        # not an object, or a non-numeric JSON type where numbers go
+        # not an object, or a non-numeric JSON type where numbers go; the
+        # histogram's counts are all 0 or 1, so as booleans they sum right
+        assert set(rec["y"]) == {0, 1}
         wrong_types = [[1, 2], "hello", dict(rec, xi=None), dict(rec, xi=[1]),
-                       dict(rec, y={"a": 1})]
+                       dict(rec, y={"a": 1}), dict(rec, xi="0.001"),
+                       dict(rec, xi=True), dict(rec, xi=10**400),
+                       dict(rec, y=[str(v) for v in rec["y"]]),
+                       dict(rec, y=[v == 1 for v in rec["y"]]),
+                       dict(rec, true_positions=[str(v) for v in
+                                                 rec["true_positions"]])]
         for i, text in enumerate(["{not json", json.dumps(single),
                                   json.dumps(counts), json.dumps(off_segment),
                                   json.dumps(shared_bin), json.dumps(nan_noise),
@@ -220,6 +231,19 @@ class TestSolve:
     def test_negative_restarts_exits_2(self, instance_file, tmp_path):
         assert run(["solve", "--in", str(instance_file), "--restarts", "-1",
                     "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_process_exit_codes(self, tmp_path):
+        """The documented exit codes reach the shell: `python -m udgp.cli`."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def exit_code(*args):
+            return subprocess.run([sys.executable, "-m", "udgp.cli", *args],
+                                  env=env, capture_output=True).returncode
+
+        assert exit_code("--version") == 0
+        assert exit_code("solve", "--in", str(tmp_path / "missing.json"),
+                         "--out", str(tmp_path / "r.json")) == 3
 
     def test_numeric_failure_exits_4(self, instance_file, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -250,7 +274,9 @@ class TestBench:
         lines = out.read_text().splitlines()
         comments = [l for l in lines if l.startswith("#")]
         rows = [l for l in lines if not l.startswith("#")]
-        assert any("gamma=" in c for c in comments)
+        assert comments[2] == ("# gamma=0.99 alpha=0.5 delta=0.0001 "
+                               "epsilon=1e-08 max_iters=5000 max_backtracks=60 "
+                               "restarts=49")
         header = rows[0].split(",")
         assert header == ["geometry", "s", "n", "xi", "method", "mean_co_p",
                           "mean_time_s", "trials", "time_ratio_iht_vs_l1pgd",

@@ -379,6 +379,13 @@ class TestSerialization:
             lambda rec: rec.update(xi=[1]),                 # list noise
             lambda rec: rec.update(y={"a": 1}),             # object histogram
             lambda rec: rec.update(true_positions={"a": 0.5}),  # object positions
+            lambda rec: rec.update(xi="0.001"),             # string noise
+            lambda rec: rec.update(xi=True),                # boolean noise
+            lambda rec: rec.update(xi=10**400),             # noise past float range
+            lambda rec: rec.update(y=[str(v) for v in rec["y"]]),  # string counts
+            lambda rec: rec.update(y=[v == 1 for v in rec["y"]]),  # boolean counts
+            lambda rec: rec.update(                         # string positions
+                true_positions=[str(v) for v in rec["true_positions"]]),
         ]
         for geometry in Geometry:
             text = instance_to_json(generate_instance(geometry, 5, 64, 0.0, 1))

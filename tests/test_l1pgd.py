@@ -6,7 +6,7 @@ import pytest
 from oracles import random_support_start
 from udgp import (Geometry, SolverConfig, StopReason, armijo_step,
                   extract_positions, generate_instance, l1pgd_solve,
-                  multi_start, project_capped_simplex, score_recovery)
+                  multi_start, project_capped_simplex, score_recovery, solver)
 
 
 class TestL1pgdSolve:
@@ -44,24 +44,23 @@ class TestL1pgdSolve:
 
     def test_iterates_stay_on_capped_simplex(self):
         inst = generate_instance(Geometry.BELTWAY, 4, 40, 0.0, 5)
-        cfg = SolverConfig()
         project = lambda z: project_capped_simplex(z, inst.s)
         x = random_support_start(inst.n, inst.s, 1, 0)
         f_x = inst.op.objective(x, inst.y)
         for _ in range(60):
             grad = inst.op.gradient(x, inst.y)
-            x, f_x, *_ = armijo_step(x, grad, f_x, inst, cfg, project)
+            x, f_x, *_ = armijo_step(x, grad, f_x, inst, project, solver._GAMMA)
             assert abs(x.sum() - inst.s) <= 1e-8
             assert x.min() >= 0 and x.max() <= 1
 
     def test_trace_invariants(self):
         inst = generate_instance(Geometry.TURNPIKE, 5, 60, 0.0, 8)
-        cfg = SolverConfig(max_iters=500)
-        res = l1pgd_solve(inst, cfg, random_support_start(inst.n, inst.s, 2, 0))
+        res = l1pgd_solve(inst, SolverConfig(max_iters=500),
+                          random_support_start(inst.n, inst.s, 2, 0))
         f = res.objective_trace
         assert np.all(np.diff(f) <= 0)
         drops = f[:-1] - f[1:]
-        rhs = 0.5 * cfg.delta * res.step_norm_trace**2
+        rhs = 0.5 * solver._DELTA * res.step_norm_trace**2
         assert np.all(drops >= rhs - 1e-12 * np.maximum(1.0, np.abs(f[:-1])))
         assert abs(res.x_final.sum() - inst.s) <= 1e-8
 

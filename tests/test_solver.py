@@ -1,6 +1,6 @@
 """Hard-thresholding solver: line search, stopping, diagnostics, restarts."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,17 +29,26 @@ def sparse_box(inst):
 
 class TestConfig:
     def test_defaults_valid(self):
+        assert [f.name for f in fields(SolverConfig)] == [
+            "max_iters", "restarts", "seed"]
         cfg = SolverConfig()
-        assert 0 < cfg.gamma < 1 and 0 < cfg.alpha < 1
+        assert (cfg.max_iters, cfg.restarts, cfg.seed) == (5000, 49, 0)
+        assert 0 < solver._GAMMA < 1 and 0 < solver._ALPHA < 1
+        assert solver._DELTA > 0 and solver._EPSILON >= 0
+        assert solver._MAX_BACKTRACKS >= 1
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(gamma=0.0), dict(gamma=1.0), dict(alpha=1.0), dict(delta=0.0),
-        dict(epsilon=-1e-9), dict(max_iters=-1), dict(restarts=-1),
-        dict(max_backtracks=0),
-    ])
+    @pytest.mark.parametrize("kwargs", [dict(max_iters=-1), dict(restarts=-1)])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["gamma", "alpha", "delta", "epsilon",
+                                      "max_backtracks"])
+    def test_step_rule_is_not_a_field(self, name):
+        """The step rule is fixed; like the removed CLI step flags, its
+        constants cannot be set per solve."""
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: 0.5})
 
 
 class TestArmijoStep:
@@ -47,9 +56,9 @@ class TestArmijoStep:
         inst = small_instance(n=50)
         x = inst.true_indicator()
         grad = inst.op.gradient(x, inst.y)
-        x_next, f_next, tau, t, *_ = armijo_step(x, grad, 0.0, inst, SolverConfig(),
-                                                 sparse_box(inst))
-        assert t == 0 and tau == SolverConfig().gamma
+        x_next, f_next, tau, t, *_ = armijo_step(x, grad, 0.0, inst,
+                                                 sparse_box(inst), solver._GAMMA)
+        assert t == 0 and tau == solver._GAMMA
         np.testing.assert_array_equal(x_next, x)
         assert f_next == 0.0
 
@@ -57,47 +66,46 @@ class TestArmijoStep:
         """The returned t equals the smallest t for which the decrease
         inequality holds, found by scanning t = 0..40 directly."""
         inst = small_instance(n=20, s=3, seed=0)
-        cfg = SolverConfig()
+        gamma, alpha, delta = solver._GAMMA, solver._ALPHA, solver._DELTA
         rng = np.random.default_rng(0)
         for _ in range(25):
             x = project_sparse_box(rng.uniform(-0.5, 1.5, inst.n), inst.s)
             f_x = inst.op.objective(x, inst.y)
             grad = inst.op.gradient(x, inst.y)
-            x_next, f_next, tau, t, *_ = armijo_step(x, grad, f_x, inst, cfg,
-                                                     sparse_box(inst))
+            x_next, f_next, tau, t, *_ = armijo_step(x, grad, f_x, inst,
+                                                     sparse_box(inst), gamma)
             scan_t = None
             for tt in range(41):
-                cand = project_sparse_box(x - cfg.gamma * cfg.alpha**tt * grad,
-                                          inst.s)
+                cand = project_sparse_box(x - gamma * alpha**tt * grad, inst.s)
                 drop = f_x - inst.op.objective(cand, inst.y)
-                if drop >= 0.5 * cfg.delta * float((x - cand) @ (x - cand)):
+                if drop >= 0.5 * delta * float((x - cand) @ (x - cand)):
                     scan_t = tt
                     break
             assert t == scan_t
-            assert tau == cfg.gamma * cfg.alpha**t
+            assert tau == gamma * alpha**t
 
     def test_tiny_base_step_accepted_at_zero(self):
         inst = small_instance(n=20, s=3, seed=1)
-        cfg = SolverConfig(gamma=1e-6)
         x = random_support_start(inst.n, inst.s, 5, 0)
         f_x = inst.op.objective(x, inst.y)
         grad = inst.op.gradient(x, inst.y)
-        _, _, tau, t, *_ = armijo_step(x, grad, f_x, inst, cfg, sparse_box(inst))
+        _, _, tau, t, *_ = armijo_step(x, grad, f_x, inst, sparse_box(inst), 1e-6)
         assert t == 0 and tau == 1e-6
 
 
-    def test_accepted_step_carries_its_evaluation(self):
+    def test_accepted_step_carries_its_evaluation(self, monkeypatch):
         """The returned residual, support, objective and squared step length
         are those of the accepted iterate, bit for bit."""
+        monkeypatch.setattr(solver, "_DELTA", 1.0)
         rng = np.random.default_rng(3)
         for geom in Geometry:
             inst = small_instance(geom, s=5, n=60, seed=2)
-            cfg = SolverConfig(delta=1.0)
             for _ in range(10):
                 x = project_sparse_box(rng.uniform(-0.5, 1.5, inst.n), inst.s)
                 f_x = inst.op.objective(x, inst.y)
                 grad = inst.op.gradient(x, inst.y)
-                step = armijo_step(x, grad, f_x, inst, cfg, sparse_box(inst))
+                step = armijo_step(x, grad, f_x, inst, sparse_box(inst),
+                                   solver._GAMMA)
                 f, r, support = inst.op.evaluate(step.x, inst.y)
                 assert step.f == f == inst.op.objective(step.x, inst.y)
                 np.testing.assert_array_equal(step.r, r)
@@ -124,8 +132,11 @@ def _grown_start(inst, seed=0, start=0):
 
 
 def _descend_cases():
-    """(label, instance, config, x0, library projection, reference projection,
-    base-step scale)."""
+    """(label, instance, x0, library projection, reference projection,
+    (max_iters, base step, step-norm tolerance), sufficient-decrease
+    constant)."""
+    solve = (SolverConfig().max_iters, solver._GAMMA, solver._EPSILON)
+    delta = solver._DELTA
     cases = []
     for geom in Geometry:
         inst = generate_instance(geom, 6, 200, 0.0, 11)
@@ -147,21 +158,23 @@ def _descend_cases():
         grown_box = (lambda z: project_sparse_box(z, grown.s),
                      lambda z: project_sparse_box_two_scan(z, grown.s))
         # delta = 10 rejects the first candidates of every step; the stage
-        # case runs at a growth stage's scaled step
+        # case runs at a growth stage's scaled step and tolerance
+        stage_solve = (solve[0], solver._GAMMA * solver._stage_scale(inst),
+                       solver._STAGE_EPSILON)
         cases += [
-            (f"{geom.value} box", inst, SolverConfig(), binary, *box, 1.0),
-            (f"{geom.value} box backtracks", inst,
-             SolverConfig(delta=10.0, max_iters=200), binary, *box, 1.0),
-            (f"{geom.value} stage sp=4", inst, SolverConfig(epsilon=1e-3),
-             anchored, *stage, solver._stage_scale(inst)),
-            (f"{geom.value} simplex dense", wide, SolverConfig(),
-             _dense_start(wide.n, s), *simplex, 1.0),
-            (f"{geom.value} simplex max_iters", inst, SolverConfig(max_iters=7),
-             dense, *simplex, 1.0),
-            (f"{geom.value} simplex backtracks", inst,
-             SolverConfig(delta=10.0, max_iters=100), dense, *simplex, 1.0),
-            (f"{geom.value} box pursuit", grown, SolverConfig(),
-             _grown_start(grown), *grown_box, 1.0),
+            (f"{geom.value} box", inst, binary, *box, solve, delta),
+            (f"{geom.value} box backtracks", inst, binary, *box,
+             (200, *solve[1:]), 10.0),
+            (f"{geom.value} stage sp=4", inst, anchored, *stage, stage_solve,
+             delta),
+            (f"{geom.value} simplex dense", wide, _dense_start(wide.n, s),
+             *simplex, solve, delta),
+            (f"{geom.value} simplex max_iters", inst, dense, *simplex,
+             (7, *solve[1:]), delta),
+            (f"{geom.value} simplex backtracks", inst, dense, *simplex,
+             (100, *solve[1:]), 10.0),
+            (f"{geom.value} box pursuit", grown, _grown_start(grown),
+             *grown_box, solve, delta),
         ]
     return cases
 
@@ -171,10 +184,11 @@ class TestCarriedEvaluation:
     gradient; the reference loop evaluates every iterate afresh."""
 
     @pytest.mark.parametrize("case", _descend_cases(), ids=lambda c: c[0])
-    def test_matches_fresh_evaluation_loop(self, case):
-        _, inst, cfg, x0, project, project_ref, scale = case
-        got = _descend(inst, cfg, x0, project, scale)
-        ref = descend_reference(inst, cfg, x0, project_ref, scale)
+    def test_matches_fresh_evaluation_loop(self, case, monkeypatch):
+        _, inst, x0, project, project_ref, args, delta = case
+        monkeypatch.setattr(solver, "_DELTA", delta)
+        got = _descend(inst, x0, project, *args)
+        ref = descend_reference(inst, x0, project_ref, *args)
         for name in ("objective_trace", "step_size_trace", "backtrack_trace",
                      "step_norm_trace"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
@@ -183,10 +197,13 @@ class TestCarriedEvaluation:
         assert got.stationarity_residual == ref.stationarity_residual
         assert got.stop_reason is ref.stop_reason
 
-    def test_cases_cover_both_paths_cuts_and_backtracks(self):
+    def test_cases_cover_both_paths_cuts_and_backtracks(self, monkeypatch):
         cases = _descend_cases()
-        results = {c[0]: _descend(*c[1:5], c[6]) for c in cases}
-        for label, inst, _, x0, *_ in cases:
+        results = {}
+        for label, inst, x0, project, _, args, delta in cases:
+            monkeypatch.setattr(solver, "_DELTA", delta)
+            results[label] = _descend(inst, x0, project, *args)
+        for label, inst, x0, *_ in cases:
             if label.endswith("simplex dense"):
                 # starts on the FFT paths and ends on the pair forward map
                 # and the window gradient
@@ -200,15 +217,16 @@ class TestCarriedEvaluation:
             # converged on a step longer than epsilon: the pursuit exit
             pursuit = results[f"{geom.value} box pursuit"]
             assert pursuit.stop_reason is StopReason.CONVERGED
-            assert pursuit.final_step_norm > SolverConfig().epsilon
+            assert pursuit.final_step_norm > solver._EPSILON
             for kind in ("box", "simplex"):
                 bt = results[f"{geom.value} {kind} backtracks"].backtrack_trace
                 assert bt.sum() > 0
 
 
 class TestStageStep:
-    """Growth stages try gamma * kappa * alpha^t with kappa = 1/(2L); the
-    solvers, and so a guided start's final descent, keep gamma * alpha^t."""
+    """Growth stages try gamma * kappa * alpha^t with kappa = 1/(2L), to
+    the stage tolerance; the solvers, and so a guided start's final
+    descent, keep gamma * alpha^t and epsilon."""
 
     @pytest.mark.parametrize("geom,kappa", [(Geometry.TURNPIKE, 13.875),
                                             (Geometry.BELTWAY, 6.9375)])
@@ -224,7 +242,6 @@ class TestStageStep:
         """Why growth starts at three points: the pair's lag is observed, so
         its residual is <= 0 everywhere and one stage step at sparsity 2
         keeps exactly the pair, at t = 0."""
-        cfg = SolverConfig()
         for seed in range(90000, 90005):
             inst = generate_instance(geom, s, n, xi, seed)
             kappa = solver._stage_scale(inst)
@@ -233,8 +250,9 @@ class TestStageStep:
                 x[list(solver.anchor_bins(inst, start))] = 1.0
                 f, r, support = inst.op.evaluate(x, inst.y)
                 grad = inst.op.gradient(x, inst.y, r, support)
-                step = armijo_step(x, grad, f, inst, cfg,
-                                   lambda z: project_sparse_box(z, 2), kappa)
+                step = armijo_step(x, grad, f, inst,
+                                   lambda z: project_sparse_box(z, 2),
+                                   solver._GAMMA * kappa)
                 assert step.t == 0
                 np.testing.assert_array_equal(step.x, x)
 
@@ -244,30 +262,31 @@ class TestStageStep:
         calls = []
         descend = solver._descend
 
-        def recorded(instance, config, x0, project, scale=1.0):
-            result = descend(instance, config, x0, project, scale)
-            calls.append((scale, result))
+        def recorded(instance, x0, project, max_iters, tau0, epsilon):
+            result = descend(instance, x0, project, max_iters, tau0, epsilon)
+            calls.append((tau0, epsilon, result))
             return result
 
         monkeypatch.setattr(solver, "_descend", recorded)
         inst = generate_instance(geom, 10, 1000, 0.0, 3)
-        cfg = SolverConfig(seed=3)
-        final = solver._guided_start(inst, cfg, 1, iht_solve)
-        *stages, (final_scale, last) = calls
-        assert last is final and final_scale == 1.0
+        final = solver._guided_start(inst, SolverConfig(seed=3), 1, iht_solve)
+        gamma, alpha = solver._GAMMA, solver._ALPHA
+        *stages, (final_tau0, final_epsilon, last) = calls
+        assert last is final and final_tau0 == gamma
+        assert final_epsilon == solver._EPSILON
         assert len(stages) == inst.s - 3
         kappa = solver._stage_scale(inst)
-        for scale, stage in stages:
-            assert scale == kappa
+        for tau0, epsilon, stage in stages:
+            assert tau0 == gamma * kappa and epsilon == solver._STAGE_EPSILON
             assert stage.stop_reason is StopReason.CONVERGED
             np.testing.assert_array_equal(
                 stage.step_size_trace,
-                cfg.gamma * kappa * cfg.alpha ** stage.backtrack_trace.astype(float))
-        assert max(stage.step_size_trace.max() for _, stage in stages) > cfg.gamma
+                gamma * kappa * alpha ** stage.backtrack_trace.astype(float))
+        assert max(stage.step_size_trace.max() for *_, stage in stages) > gamma
         np.testing.assert_array_equal(
             final.step_size_trace,
-            cfg.gamma * cfg.alpha ** final.backtrack_trace.astype(float))
-        assert final.iterations > 0 and np.all(final.step_size_trace <= cfg.gamma)
+            gamma * alpha ** final.backtrack_trace.astype(float))
+        assert final.iterations > 0 and np.all(final.step_size_trace <= gamma)
 
 
 class TestPursuitExit:
@@ -292,18 +311,17 @@ class TestPursuitExit:
     @pytest.mark.parametrize("geom", list(Geometry))
     def test_grown_start_ends_at_an_exact_fit(self, geom):
         inst = generate_instance(geom, 10, 1000, 0.0, 90000)
-        cfg = SolverConfig()
-        res = iht_solve(inst, cfg, _grown_start(inst))
+        res = iht_solve(inst, SolverConfig(), _grown_start(inst))
         assert res.stop_reason is StopReason.CONVERGED
         # a last step longer than epsilon: the exit ended it, not the step rule
-        assert res.final_step_norm > cfg.epsilon
+        assert res.final_step_norm > solver._EPSILON
         assert set(np.unique(res.x_final)) == {0.0, 1.0}
         assert np.count_nonzero(res.x_final) == inst.s
         assert res.f_final == 0.0
         assert res.stationarity_residual == 0.0
         assert check_l_stationarity(res.x_final, inst).passed
         assert res.backtrack_trace[-1] == 0
-        assert res.step_size_trace[-1] == cfg.gamma
+        assert res.step_size_trace[-1] == solver._GAMMA
 
     @pytest.mark.parametrize("geom", list(Geometry))
     def test_stage_descent_never_offers_it(self, geom, monkeypatch):
@@ -312,12 +330,13 @@ class TestPursuitExit:
         inst = generate_instance(geom, 10, 1000, 0.0, 90000)
         x0 = np.zeros(inst.n)
         x0[list(solver.anchor_bins(inst))] = 1.0
-        cfg = SolverConfig(epsilon=solver._STAGE_EPSILON)
-        res = _descend(inst, cfg, x0, lambda z: project_sparse_box(z, inst.s - 1),
-                       solver._stage_scale(inst))
+        res = _descend(inst, x0, lambda z: project_sparse_box(z, inst.s - 1),
+                       SolverConfig().max_iters,
+                       solver._GAMMA * solver._stage_scale(inst),
+                       solver._STAGE_EPSILON)
         assert taken == []
         assert res.stop_reason is StopReason.CONVERGED
-        assert res.final_step_norm <= cfg.epsilon
+        assert res.final_step_norm <= solver._STAGE_EPSILON
 
     def test_noisy_histogram_declines_it(self, monkeypatch):
         """The `iht_noisy` benchmark's turnpike instance: y is perturbed, so
@@ -328,7 +347,7 @@ class TestPursuitExit:
         res = multi_start(inst, SolverConfig(seed=1))
         assert taken and not any(taken)
         assert res.stop_reason is StopReason.CONVERGED
-        assert res.final_step_norm <= SolverConfig().epsilon
+        assert res.final_step_norm <= solver._EPSILON
 
     def test_total_iterations_count_the_pursuit_step(self, monkeypatch):
         taken = self._spy(monkeypatch)
@@ -390,44 +409,46 @@ class TestIhtSolve:
         with pytest.raises(NumericError):  # checked at x0, before any step
             iht_solve(bad, SolverConfig(max_iters=0), x0)
 
-    def test_backtracking_can_exhaust(self):
+    def test_backtracking_can_exhaust(self, monkeypatch):
+        monkeypatch.setattr(solver, "_DELTA", 1e12)
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 3)
         inst = small_instance(n=30, s=4, seed=2)
         x0 = 0.5 * random_support_start(inst.n, inst.s, 3, 0)
-        res = iht_solve(inst, SolverConfig(delta=1e12, max_backtracks=3), x0)
+        res = iht_solve(inst, SolverConfig(), x0)
         assert res.stop_reason is StopReason.BACKTRACK_EXHAUSTED
 
     def test_trace_invariants(self):
         """Monotone objective, exact step-size law, decrease inequality,
         feasibility, and the summed-squares step bound."""
+        gamma, alpha, delta = solver._GAMMA, solver._ALPHA, solver._DELTA
         for geom in Geometry:
             inst = generate_instance(geom, 5, 60, 0.0, 7)
-            cfg = SolverConfig(max_iters=800)
             x0 = random_support_start(inst.n, inst.s, 11, 0)
-            res = iht_solve(inst, cfg, x0)
+            res = iht_solve(inst, SolverConfig(max_iters=800), x0)
             f = res.objective_trace
             assert np.all(np.diff(f) <= 0)
             np.testing.assert_array_equal(
                 res.step_size_trace,
-                cfg.gamma * cfg.alpha ** res.backtrack_trace.astype(float))
+                gamma * alpha ** res.backtrack_trace.astype(float))
             assert np.all(res.step_size_trace > 0)
-            assert np.all(res.step_size_trace <= cfg.gamma)
+            assert np.all(res.step_size_trace <= gamma)
             drops = f[:-1] - f[1:]
-            rhs = 0.5 * cfg.delta * res.step_norm_trace**2
+            rhs = 0.5 * delta * res.step_norm_trace**2
             assert np.all(drops >= rhs - 1e-12 * np.maximum(1.0, np.abs(f[:-1])))
             assert float(res.step_norm_trace @ res.step_norm_trace) \
-                <= (2.0 / cfg.delta) * f[0] + 1e-9
+                <= (2.0 / delta) * f[0] + 1e-9
             x = res.x_final
             assert x.min() >= 0 and x.max() <= 1
             assert np.count_nonzero(x) <= inst.s
 
     def test_iterates_stay_feasible(self):
         inst = small_instance(n=40, s=4, seed=9)
-        cfg = SolverConfig()
         x = random_support_start(inst.n, inst.s, 2, 0)
         f_x = inst.op.objective(x, inst.y)
         for _ in range(50):
             grad = inst.op.gradient(x, inst.y)
-            x, f_x, *_ = armijo_step(x, grad, f_x, inst, cfg, sparse_box(inst))
+            x, f_x, *_ = armijo_step(x, grad, f_x, inst, sparse_box(inst),
+                                     solver._GAMMA)
             assert x.min() >= 0 and x.max() <= 1
             assert np.count_nonzero(x) <= inst.s
 
