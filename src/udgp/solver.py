@@ -25,9 +25,13 @@ more than the noise can explain (`misfit_budget`: 0 on noise-free data,
 so there a fit is an exact one).  The first start that fits ends the
 restarts; if none does, the best objective wins.  A start that fails
 usually misses only a few points, or holds the right points moved as a
-block, so before a restart `_repair` re-anchors its rounded support and
-completes it greedily; a fit found that way is solved once more by the
-start's own solver.
+block, so `_repair` re-anchors its rounded support and completes it
+greedily.  `multi_start`'s descents try that repair as soon as an
+s-point support they offer does not fit y exactly, and take the
+repaired indicator as the pursuit step instead; a start that still
+does not fit is repaired once more before a restart, within the noise
+budget, and a fit found that way is solved once more by the start's
+own solver.  `iht_solve` and `l1pgd_solve` never repair.
 `stationarity_residual` and `check_l_stationarity` verify the fixed-point
 and sign conditions a converged iterate must satisfy.
 """
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -171,7 +176,7 @@ def _fixed_point_residual(x, tau, instance, project, r=None, support=None) -> fl
     return float(np.linalg.norm(x - project(x - tau * g)))
 
 
-def _pursuit_step(x, f_x, support, instance) -> Step | None:
+def _pursuit_step(x, f_x, support, instance, repair) -> Step | None:
     """Hard thresholding pursuit's last step from an s-point iterate x.
 
     On a support S of s bins the least-squares fit that hard thresholding
@@ -180,12 +185,17 @@ def _pursuit_step(x, f_x, support, instance) -> Step | None:
     either projection and a global minimiser.  Returns x_b as an accepted
     step (objective 0, step size `_GAMMA`, exponent 0) when it fits y exactly
     (`_fits` with budget 0) and passes the sufficient-decrease rule from
-    x; otherwise None.
+    x; otherwise None.  With `repair`, an x_b that does not fit is replaced
+    by `_repair(instance, x, 0)`, the indicator rebuilt from x's rounded
+    support, which is offered under the same test.
     """
     xb = np.zeros(instance.n)
     xb[support] = 1.0
     if not _fits(instance, xb, 0):
-        return None
+        xb = _repair(instance, x, 0) if repair else None
+        if xb is None:
+            return None
+        support = np.flatnonzero(xb)
     diff = x - xb
     step_sq = float(diff @ diff)
     if f_x < 0.5 * _DELTA * step_sq:
@@ -193,7 +203,8 @@ def _pursuit_step(x, f_x, support, instance) -> Step | None:
     return Step(xb, 0.0, _GAMMA, 0, step_sq, np.zeros(instance.op.m), support)
 
 
-def _descend(instance, x0, project, max_iters, tau0, epsilon) -> SolveResult:
+def _descend(instance, x0, project, max_iters, tau0, epsilon,
+             repair=False) -> SolveResult:
     """Projected-gradient loop over `project`'s set: at most max_iters
     Armijo steps (`armijo_step`) from base step tau0.
 
@@ -210,6 +221,11 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon) -> SolveResult:
     the first time an accepted iterate holds a new support of exactly s
     points, its indicator is offered as the next step (`_pursuit_step`),
     and if it is taken the descent ends there, CONVERGED at a fixed point.
+    With `repair`, an offered indicator that does not fit is replaced by
+    the one `_repair` rebuilds from the iterate's rounded support (see
+    `_pursuit_step`).  `multi_start`'s descents at s points turn it on;
+    the public solvers leave it off, so each of their steps is one
+    Armijo step or a pursuit step to the iterate's own support.
     `project`'s set must hold that indicator whenever an iterate has s
     points: both solvers' sets do, and growth stages, projecting onto
     fewer than s points, never offer it.
@@ -227,7 +243,7 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon) -> SolveResult:
         step = None
         if k and support.size == instance.s and support.tobytes() != offered:
             offered = support.tobytes()
-            step = _pursuit_step(x, f_x, support, instance)
+            step = _pursuit_step(x, f_x, support, instance, repair)
         pursued = step is not None
         if not pursued:
             grad = op.gradient(x, y, r, support)
@@ -260,6 +276,12 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon) -> SolveResult:
 
 def iht_solve(instance, config: SolverConfig, x0) -> SolveResult:
     """Hard-thresholding projected gradient descent from a feasible x0."""
+    return _iht(instance, config, x0, False)
+
+
+def _iht(instance, config: SolverConfig, x0, repair) -> SolveResult:
+    """`iht_solve`, whose descent repairs declined pursuit offers when
+    `repair` is set (see `_descend`)."""
     s = instance.s
     x0 = np.asarray(x0, dtype=float)
     if not np.all((x0 >= 0.0) & (x0 <= 1.0)):  # NaN fails too
@@ -267,7 +289,7 @@ def iht_solve(instance, config: SolverConfig, x0) -> SolveResult:
     if np.count_nonzero(x0) > s:
         raise ValueError(f"x0 has more than s={s} nonzeros")
     return _descend(instance, x0, lambda z: project_sparse_box(z, s),
-                    config.max_iters, _GAMMA, _EPSILON)
+                    config.max_iters, _GAMMA, _EPSILON, repair)
 
 
 def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
@@ -278,13 +300,19 @@ def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
     within rounding.  Iterates are generally dense; the recovery pipeline handles the
     fractional mass when extracting positions.
     """
+    return _l1pgd(instance, config, x0, False)
+
+
+def _l1pgd(instance, config: SolverConfig, x0, repair) -> SolveResult:
+    """`l1pgd_solve`, whose descent repairs declined pursuit offers when
+    `repair` is set (see `_descend`)."""
     s = instance.s
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     project = lambda z: project_capped_simplex(z, s)
     return _descend(instance, project(x0), project, config.max_iters, _GAMMA,
-                    _EPSILON)
+                    _EPSILON, repair)
 
 
 def stationarity_residual(x, tau: float, instance) -> float:
@@ -439,11 +467,12 @@ def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveRes
     hard-thresholding descent at base step _GAMMA * `_stage_scale`, to
     tolerance `_STAGE_EPSILON`, during which the projection births (at
     most) one new support coordinate where the residual wants it.  The
-    (s-1)-sparse result is handed to `solve`, `iht_solve` or
-    `l1pgd_solve`, which keeps base step _GAMMA, so both methods
-    descend from the same iterate.  Start 0 lets every stage take its
-    greedy-best entry; later starts add the entering bin, drawn among the
-    top few candidates, and on the circle also rotate the anchor lag.
+    (s-1)-sparse result is handed to `solve`, one of the two solvers
+    (in `multi_start`, with the offer's repair on), which keeps base
+    step _GAMMA, so both methods descend from the same iterate.  Start 0
+    lets every stage take its greedy-best entry; later starts add the
+    entering bin, drawn among the top few candidates, and on the circle
+    also rotate the anchor lag.
     """
     n, s = instance.n, instance.s
     x = np.zeros(n)
@@ -558,16 +587,22 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
     (s-1)-sparse result (see `_guided_start`), so the methods differ only
     in the descents that finish their starts.  A final descent that
     reaches an s-point support fitting y exactly steps to its indicator
-    and stops there (`_descend`).  A start that does not fit gets one repair
-    (`_repair`) of its rounded support within the same budget; a
-    repaired indicator is solved once more by the start's own solver, so
-    the answer is a fixed point of its method's iteration, and its
-    `iterations` counts only that re-solve.  With max_iters = 0 each
-    start is returned as built, unrepaired.
+    and stops there (`_descend`).  Unlike the public solvers' descents,
+    `multi_start`'s (final descents and re-solves) repair a support that
+    does not fit when it is offered: the indicator
+    `_repair(instance, x, 0)` rebuilds from the iterate's rounded support
+    is offered in its place, and if it is taken the answer's
+    `iterations` counts its whole final descent.  A start that
+    still does not fit gets one more repair (`_repair`) of its rounded
+    support, within the noise budget; a repaired indicator is solved
+    once more by the start's own solver, so the answer is a fixed point
+    of its method's iteration, and its `iterations` counts only that
+    re-solve.  With max_iters = 0 each start is returned as built,
+    unrepaired.
     """
     if method not in ("iht", "l1pgd"):
         raise ValueError(f"unknown method {method!r}")
-    solve = iht_solve if method == "iht" else l1pgd_solve
+    solve = partial(_iht if method == "iht" else _l1pgd, repair=True)
     budget = misfit_budget(instance)
     best: SolveResult | None = None
     total_iterations = 0

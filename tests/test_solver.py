@@ -1,6 +1,7 @@
 """Hard-thresholding solver: line search, stopping, diagnostics, restarts."""
 
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -262,22 +263,27 @@ class TestStageStep:
         calls = []
         descend = solver._descend
 
-        def recorded(instance, x0, project, max_iters, tau0, epsilon):
-            result = descend(instance, x0, project, max_iters, tau0, epsilon)
-            calls.append((tau0, epsilon, result))
+        def recorded(instance, x0, project, max_iters, tau0, epsilon,
+                     repair=False):
+            result = descend(instance, x0, project, max_iters, tau0, epsilon,
+                             repair)
+            calls.append((tau0, epsilon, repair, result))
             return result
 
         monkeypatch.setattr(solver, "_descend", recorded)
         inst = generate_instance(geom, 10, 1000, 0.0, 3)
-        final = solver._guided_start(inst, SolverConfig(seed=3), 1, iht_solve)
+        # the final solve `multi_start` hands its starts
+        final = solver._guided_start(inst, SolverConfig(seed=3), 1,
+                                     partial(solver._iht, repair=True))
         gamma, alpha = solver._GAMMA, solver._ALPHA
-        *stages, (final_tau0, final_epsilon, last) = calls
+        *stages, (final_tau0, final_epsilon, final_repair, last) = calls
         assert last is final and final_tau0 == gamma
-        assert final_epsilon == solver._EPSILON
+        assert final_epsilon == solver._EPSILON and final_repair
         assert len(stages) == inst.s - 3
         kappa = solver._stage_scale(inst)
-        for tau0, epsilon, stage in stages:
+        for tau0, epsilon, repair, stage in stages:
             assert tau0 == gamma * kappa and epsilon == solver._STAGE_EPSILON
+            assert not repair
             assert stage.stop_reason is StopReason.CONVERGED
             np.testing.assert_array_equal(
                 stage.step_size_trace,
@@ -289,24 +295,37 @@ class TestStageStep:
         assert final.iterations > 0 and np.all(final.step_size_trace <= gamma)
 
 
+def _spy_pursuit(monkeypatch):
+    """Record, per pursuit step offered, whether it was taken."""
+    taken = []
+    pursuit_step = solver._pursuit_step
+
+    def spied(*args, **kwargs):
+        step = pursuit_step(*args, **kwargs)
+        taken.append(step is not None)
+        return step
+
+    monkeypatch.setattr(solver, "_pursuit_step", spied)
+    return taken
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of `solver.<name>`, in a one-element list."""
+    calls = [0]
+    original = getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
 class TestPursuitExit:
     """An accepted iterate on a new support of s points offers that
     support's indicator as the next step; a descent that takes it stops
     there, CONVERGED at an exact fit."""
-
-    @staticmethod
-    def _spy(monkeypatch):
-        """Record, per pursuit step offered, whether it was taken."""
-        taken = []
-        pursuit_step = solver._pursuit_step
-
-        def spied(*args, **kwargs):
-            step = pursuit_step(*args, **kwargs)
-            taken.append(step is not None)
-            return step
-
-        monkeypatch.setattr(solver, "_pursuit_step", spied)
-        return taken
 
     @pytest.mark.parametrize("geom", list(Geometry))
     def test_grown_start_ends_at_an_exact_fit(self, geom):
@@ -326,7 +345,7 @@ class TestPursuitExit:
     @pytest.mark.parametrize("geom", list(Geometry))
     def test_stage_descent_never_offers_it(self, geom, monkeypatch):
         """A growth stage projects onto s-1 points, so no iterate has s."""
-        taken = self._spy(monkeypatch)
+        taken = _spy_pursuit(monkeypatch)
         inst = generate_instance(geom, 10, 1000, 0.0, 90000)
         x0 = np.zeros(inst.n)
         x0[list(solver.anchor_bins(inst))] = 1.0
@@ -343,27 +362,50 @@ class TestPursuitExit:
         the s-point support the descent reaches is offered and declined."""
         inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 2e-4, 90000)
         assert not np.array_equal(inst.op.forward(inst.true_indicator()), inst.y)
-        taken = self._spy(monkeypatch)
+        taken = _spy_pursuit(monkeypatch)
         res = multi_start(inst, SolverConfig(seed=1))
         assert taken and not any(taken)
         assert res.stop_reason is StopReason.CONVERGED
         assert res.final_step_norm <= solver._EPSILON
 
     def test_total_iterations_count_the_pursuit_step(self, monkeypatch):
-        taken = self._spy(monkeypatch)
-        steps = [0]
-        armijo_step = solver.armijo_step
-
-        def counted_armijo_step(*args, **kwargs):
-            step = armijo_step(*args, **kwargs)
-            steps[0] += 1
-            return step
-
-        monkeypatch.setattr(solver, "armijo_step", counted_armijo_step)
+        taken = _spy_pursuit(monkeypatch)
+        steps = _count_calls(monkeypatch, "armijo_step")
         inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 90000)
         res = multi_start(inst, SolverConfig(seed=1))
         assert sum(taken) == 1
         assert res.total_iterations == steps[0] + 1
+
+    def test_declined_offer_is_repaired_at_once(self, monkeypatch):
+        """The start-0 final descent reaches a wrong 20-point support; the
+        offer's repair rebuilds the answer from the rounded support and
+        ends the descent there.  Finishing the descent first, as
+        `iht_solve` does (next test), crawls on to epsilon."""
+        taken = _spy_pursuit(monkeypatch)
+        inst = generate_instance(Geometry.TURNPIKE, 20, 2000, 0.0, 90000)
+        res = multi_start(inst, SolverConfig(seed=1))
+        assert res.start_index == 0 and res.starts_run == 1
+        assert res.iterations == 2 and taken == [True]
+        assert res.stop_reason is StopReason.CONVERGED
+        assert res.f_final == 0.0 and binary_misfit(inst, res.x_final) == 0
+        assert res.stationarity_residual == 0.0
+        assert res.total_iterations < 1000
+
+    def test_public_solver_never_repairs(self, monkeypatch):
+        """`iht_solve` from the same (s-1)-sparse start declines the wrong
+        support and crawls on: every iteration is one Armijo step, and the
+        repair never runs."""
+        inst = generate_instance(Geometry.TURNPIKE, 20, 2000, 0.0, 90000)
+        x0 = _grown_start(inst, seed=1)
+        taken = _spy_pursuit(monkeypatch)
+        steps = _count_calls(monkeypatch, "armijo_step")
+        repairs = _count_calls(monkeypatch, "_repair")
+        res = iht_solve(inst, SolverConfig(seed=1), x0)
+        assert taken and not any(taken) and repairs[0] == 0
+        assert steps[0] == res.iterations > 2
+        assert res.stop_reason is StopReason.CONVERGED
+        assert res.final_step_norm <= solver._EPSILON
+        assert binary_misfit(inst, res.x_final) > 0
 
 
 class TestIhtSolve:
@@ -577,19 +619,13 @@ class TestMultiStart:
 
     def test_total_iterations_count_every_armijo_step(self, monkeypatch):
         """Every start, growth stage and repair re-solve is counted, not
-        only the winning start's last descent."""
-        steps = [0]
-        armijo_step = solver.armijo_step
-
-        def counted_armijo_step(*args, **kwargs):
-            step = armijo_step(*args, **kwargs)
-            steps[0] += 1
-            return step
-
-        monkeypatch.setattr(solver, "armijo_step", counted_armijo_step)
+        only the winning start's last descent: each Armijo step and each
+        pursuit step taken."""
+        steps = _count_calls(monkeypatch, "armijo_step")
+        taken = _spy_pursuit(monkeypatch)
         inst = generate_instance(Geometry.BELTWAY, 10, 1000, 0.0, 90009)
         res = multi_start(inst, SolverConfig(seed=154))
-        assert res.total_iterations == steps[0] > res.iterations
+        assert res.total_iterations == steps[0] + sum(taken) > res.iterations
         assert res.starts_run > 1
 
     def test_all_starts_failing_raises(self):
@@ -604,14 +640,7 @@ class TestMultiStart:
     def test_non_finite_y_raises_at_the_first_start(self, monkeypatch):
         """Every start lies in the unit box and shares y, so the first
         start's failure is every start's: no other start runs."""
-        calls = [0]
-        guided_start = solver._guided_start
-
-        def counted_guided_start(*args, **kwargs):
-            calls[0] += 1
-            return guided_start(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_guided_start", counted_guided_start)
+        calls = _count_calls(monkeypatch, "_guided_start")
         inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 1)
         bad = replace(inst, y=np.full(inst.n - 1, np.nan))
         with pytest.raises(NumericError):
