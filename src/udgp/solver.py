@@ -26,7 +26,8 @@ so there a fit is an exact one).  The first start that fits ends the
 restarts; if none does, the best objective wins.  A start that fails
 usually misses only a few points, or holds the right points moved as a
 block, so `_repair` re-anchors its rounded support and completes it
-greedily.  `multi_start`'s descents try that repair as soon as an
+point by point where hard-thresholding steps would birth them
+(`_entries`).  `multi_start`'s descents try that repair as soon as an
 s-point support they offer does not fit y exactly, and take the
 repaired indicator as the pursuit step instead; a start that still
 does not fit is repaired once more before a restart, within the noise
@@ -458,6 +459,16 @@ def _stage_scale(instance) -> float:
     return op.m / ((16 if op.circular else 8) * (instance.s - 1))
 
 
+def _entries(instance, x) -> np.ndarray:
+    """x's empty bins, most negative gradient g first, lowest index
+    winning ties: the order in which a short hard-thresholding step from
+    a k-point indicator x, project_sparse_box(x - tau * g, k + 1) at small
+    tau, births them."""
+    empty = np.flatnonzero(x == 0)
+    g = instance.op.gradient(x, instance.y)
+    return empty[np.argsort(g[empty], kind="stable")]
+
+
 def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveResult:
     """One guided start: grow the support point by point, then `solve` at s.
 
@@ -471,8 +482,8 @@ def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveRes
     (in `multi_start`, with the offer's repair on), which keeps base
     step _GAMMA, so both methods descend from the same iterate.  Start 0
     lets every stage take its greedy-best entry; later starts add the
-    entering bin, drawn among the top few candidates, and on the circle
-    also rotate the anchor lag.
+    entering bin, drawn among the first `_ENTRY_CHOICES` of `_entries`,
+    and on the circle also rotate the anchor lag.
     """
     n, s = instance.n, instance.s
     x = np.zeros(n)
@@ -481,10 +492,7 @@ def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveRes
     stage_iterations = 0
     for sp in range(3, s):
         if start > 0:
-            g = instance.op.gradient(x, instance.y)
-            g = np.where(x > 0, np.inf, g)
-            cand = np.argpartition(g, _ENTRY_CHOICES)[:_ENTRY_CHOICES]
-            cand = cand[np.argsort(g[cand], kind="stable")]
+            cand = _entries(instance, x)[:_ENTRY_CHOICES]
             pick = int(_philox(config.seed, start, sp).integers(0, cand.size))
             x[cand[pick]] = 1.0
         stage = _descend(instance, x, lambda z: project_sparse_box(z, sp),
@@ -496,45 +504,11 @@ def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveRes
     return result
 
 
-def _addition_scores(instance, x, r, support) -> np.ndarray:
-    """(n-1) times the objective change from adding each empty bin to x.
-
-    x is a 0/1 indicator with residual r = forward(x) - y and support S.
-    Adding bin q puts c_l more counts at each lag l between q and S, so
-    ||r||^2 changes by 2 * sum_l c_l r_l + sum_l c_l^2.  The first sum is
-    (n-1) times the gradient at q, which given r and S runs no forward
-    pass; r is integral, so rounding removes the scale's rounding error.
-    Each point of S gives one count (two on the circle, one at each of
-    the complementary lags), and a lag repeats only when two points of S
-    are mirror images about q: t + t' = 2q, mod n on the circle, where t
-    may equal t' when it sits opposite q.  Occupied bins score inf.
-    """
-    op, n = instance.op, instance.n
-    g = op.gradient(x, instance.y, r, support)
-    pair = (support[:, None] + support[None, :]).ravel()
-    if op.circular:
-        pair %= n
-        if n % 2:  # 2 is invertible mod an odd n
-            mid = pair * ((n + 1) // 2) % n
-        else:
-            mid = pair[pair % 2 == 0] // 2
-            mid = np.concatenate([mid, mid + n // 2])
-    else:
-        mid = pair[pair % 2 == 0] // 2
-    mirrors = np.bincount(mid, minlength=n)
-    per_point = 2 if op.circular else 1
-    score = 2.0 * np.rint(g * (op.m / 2)) + per_point * (support.size + mirrors)
-    score[support] = np.inf
-    return score
-
-
 def _complete(instance, x, budget) -> bool:
-    """Add to the indicator x, in place, the bin that lowers the misfit
-    most until it holds s points; whether it then fits within `budget`."""
-    op, y = instance.op, instance.y
+    """Add the first `_entries` bin to the indicator x, in place, until it
+    holds s points; whether it then fits within `budget`."""
     for _ in range(instance.s - np.count_nonzero(x)):
-        _, r, support = op.evaluate(x, y)
-        x[int(np.argmin(_addition_scores(instance, x, r, support)))] = 1.0
+        x[_entries(instance, x)[0]] = 1.0
     return _fits(instance, x, budget)
 
 
@@ -548,9 +522,9 @@ def _repair(instance, x, budget=0) -> np.ndarray | None:
     leftmost point is bin 0, then so its rightmost sits at the largest
     observed lag, each time adding the anchors {0, largest lag} and
     dropping what falls outside them.  On both geometries S is then
-    tried as it is.  Each candidate is completed greedily to s points
-    (`_complete`); the first that fits is returned.  One that already
-    holds more than s points is left as it is and fails.
+    tried as it is.  Each candidate is completed to s points by the
+    gradient (`_complete`); the first that fits is returned.  One that
+    already holds more than s points is left as it is and fails.
     """
     op = instance.op
     support = np.flatnonzero(np.asarray(x) > 0.5)

@@ -15,11 +15,11 @@ with the same work, on all 32 panel instances.  Like
 `perfbench/run.py`, the script pins the BLAS and OpenMP pools to one
 thread, which keeps the floating-point reduction order fixed, and puts
 `src/` and `perfbench/` on the import path before NumPy loads.  It takes
-about 15 seconds.  `tests/panel_fingerprint.txt` holds its output for the
-current code, made with NumPy 2.4.6.  With --check the script prints, as
-a diff, the lines where this checkout's output differs from that file,
-and exits 1 if any does; `tests/test_panel_fingerprint.py` runs that
-check under pytest.
+about 1.5 seconds on one x86 core.  `tests/panel_fingerprint.txt` holds
+its output for the current code, made with NumPy 2.4.6.  With --check
+the script prints, as a diff, the lines where this checkout's output
+differs from that file, and exits 1 if any does;
+`tests/test_panel_fingerprint.py` runs that check under pytest.
 """
 
 import argparse

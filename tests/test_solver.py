@@ -17,7 +17,7 @@ from udgp import (Geometry, NumericError, SolverConfig, StopReason,
 from udgp import solver
 from udgp.cli import BENCH_NOISE
 from udgp.instances import Instance
-from udgp.solver import _addition_scores, _descend, _repair
+from udgp.solver import _complete, _descend, _entries, _repair
 
 
 def small_instance(geom=Geometry.TURNPIKE, s=3, n=20, seed=0, xi=0.0):
@@ -698,8 +698,8 @@ class TestRepair:
                                       _indicator(inst.n, bins))
 
     def test_completion_on_the_circle(self):
-        """One point below 0.5 and the rest in place: greedy completion
-        adds the bin that fits exactly."""
+        """One point below 0.5 and the rest in place: completion by the
+        gradient adds the bin that fits exactly."""
         inst = generate_instance(Geometry.BELTWAY, 20, 2000, 0.0, 90001)
         truth = inst.true_indicator()
         x = 0.98 * truth
@@ -716,39 +716,50 @@ class TestRepair:
                        noise_sigma=0.0, seed=0)
         assert _repair(bad, inst.true_indicator()) is None
 
-    def test_addition_scores_match_forward(self):
-        """Each empty bin's score is (n-1) times the objective change of
-        adding it, counted with `forward`, including repeated lags."""
-        rng = np.random.default_rng(8)
-        repeats = {Geometry.TURNPIKE: 0, Geometry.BELTWAY: 0}
-        opposite = 0
+    def test_entries_are_empty_bins_in_gradient_order(self):
+        """`_entries` lists every empty bin once, most negative gradient
+        first, lowest index first among equal gradients.  From one point
+        the gradient is -(2/m) y at each lag, so bins at equal counts tie,
+        the most negative ones too."""
+        top_ties = 0
         for geom in Geometry:
-            for n in (40, 41):
-                inst = generate_instance(geom, 7, n, 0.0, n)
-                op, y = inst.op, inst.y
-                supports = [[], [int(rng.integers(n))],
-                            inst.true_bins()[:-1],
-                            [3, 9, 15, 30], [0, n // 2, 5]]
-                supports += [rng.choice(n, size=k, replace=False)
-                             for k in rng.integers(2, 10, size=12)]
-                for bins in supports:
-                    x = _indicator(n, bins)
-                    _, r, support = op.evaluate(x, y)
-                    score = _addition_scores(inst, x, r, support)
-                    base = float(r @ r)
-                    for q in np.flatnonzero(x == 0):
-                        x[q] = 1.0
-                        added = op.forward(x) - y
-                        x[q] = 0.0
-                        assert score[q] == float(added @ added) - base
-                        lags = np.abs(q - support)
-                        if geom is Geometry.BELTWAY:
-                            lags = np.minimum(lags, n - lags)
-                            opposite += bool(np.any(2 * lags == n))
-                        repeats[geom] += lags.size - np.unique(lags).size
-                    assert np.all(np.isinf(score[support]))
-        assert min(repeats.values()) > 0 and opposite > 0
+            inst = generate_instance(geom, 6, 60, 0.0, 4)
+            for bins in ([0], solver.anchor_bins(inst), inst.true_bins()[:4]):
+                x = _indicator(inst.n, bins)
+                g = inst.op.gradient(x, inst.y)
+                order = _entries(inst, x)
+                empty = np.flatnonzero(x == 0)
+                np.testing.assert_array_equal(np.sort(order), empty)
+                assert list(order) == sorted(empty, key=lambda q: (g[q], q))
+                top_ties += bool(g[order[0]] == g[order[1]])
+        assert top_ties >= 2
 
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_completion_births_where_the_projection_does(self, geom):
+        """From an (s-1)-point indicator x, `_complete` adds the bin that a
+        small hard-thresholding step, project_sparse_box(x - tau * g, s),
+        births: the rule completion shares with the solver's own steps,
+        ties included."""
+        rng = np.random.default_rng(21)
+        checked = ties = 0
+        for s, n in ((4, 30), (6, 60), (10, 1000)):
+            inst = generate_instance(geom, s, n, 0.0, n)
+            truth = inst.true_bins()
+            supports = [np.delete(truth, i) for i in range(s)]
+            supports += [rng.choice(n, s - 1, replace=False) for _ in range(10)]
+            for bins in supports:
+                x = _indicator(n, bins)
+                g = inst.op.gradient(x, inst.y)
+                g_empty = np.sort(g[x == 0])
+                if not g_empty[0] < 0:  # the step would birth nowhere
+                    continue
+                born = np.flatnonzero(project_sparse_box(x - 1e-6 * g, s) > x)
+                completed = x.copy()
+                _complete(inst, completed, 0)
+                np.testing.assert_array_equal(np.flatnonzero(completed > x), born)
+                checked += 1
+                ties += bool(g_empty[0] == g_empty[1])
+        assert checked >= 20 and ties > 0
 
 
 def _perturbed(geom, s, n, xi, seed):
