@@ -220,6 +220,9 @@ def cmd_bench(args) -> int:
     except ValueError as err:
         print(f"udgp bench: {err}", file=sys.stderr)
         return 2
+    # an unwritable --out fails here, not after the whole grid is solved
+    for path in (args.out, args.out + ".trials.csv"):
+        open(path, "w").close()
 
     trial_rows = []
     mean_rows = []

@@ -17,22 +17,24 @@ SIAM J. Numer. Anal. 2011).  That indicator has f = 0 and grad f = 0, so
 the descent ends at a fixed point of either projection.
 
 The model is nonconvex and has spurious stationary points (the zero
-vector among them), so `multi_start` runs the solver from several starts,
-each grown from an anchored pair of bins by the same hard-thresholding
-stages whichever solver finishes it.  A start *fits* when its rounded
-support {x > 0.5} holds s points whose histogram misfits y, in L1, by no
-more than the noise can explain (`misfit_budget`: 0 on noise-free data,
-so there a fit is an exact one).  The first start that fits ends the
-restarts; if none does, the best objective wins.  A start that fails
-usually misses only a few points, or holds the right points moved as a
-block, so `_repair` re-anchors its rounded support and completes it
-point by point where hard-thresholding steps would birth them
-(`_entries`).  `multi_start`'s descents try that repair as soon as an
-s-point support they offer does not fit y exactly, and take the
-repaired indicator as the pursuit step instead; a start that still
-does not fit is repaired once more before a restart, within the noise
-budget, and a fit found that way is solved once more by the start's
-own solver.  `iht_solve` and `l1pgd_solve` never repair.
+vector among them), so `multi_start` runs either method from several
+starts.  Each start is grown from an anchored pair of bins by
+hard-thresholding stages that do not depend on the method, then
+finished by `_descend` with the method's projection.  A start *fits*
+when its rounded support {x > 0.5} holds s points whose histogram
+misfits y, in L1, by no more than the noise can explain
+(`misfit_budget`: 0 on noise-free data, so there a fit is an exact
+one).  The first start that fits ends the restarts; if none does, the
+best objective wins.  A start that fails usually misses only a few
+points, or holds the right points moved as a block, so `_repair`
+re-anchors its rounded support and completes it point by point where
+hard-thresholding steps would birth them (`_entries`).
+`multi_start`'s descents try that repair as soon as an s-point support
+they offer does not fit y exactly, and take the repaired indicator as
+the pursuit step instead; a start that still does not fit is repaired
+once more before a restart, within the noise budget, and a fit found
+that way is descended from once more with the method's projection.
+`iht_solve` and `l1pgd_solve`, called on their own, never repair.
 `stationarity_residual` and `check_l_stationarity` verify the fixed-point
 and sign conditions a converged iterate must satisfy.
 """
@@ -42,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -224,9 +225,10 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon,
     and if it is taken the descent ends there, CONVERGED at a fixed point.
     With `repair`, an offered indicator that does not fit is replaced by
     the one `_repair` rebuilds from the iterate's rounded support (see
-    `_pursuit_step`).  `multi_start`'s descents at s points turn it on;
-    the public solvers leave it off, so each of their steps is one
-    Armijo step or a pursuit step to the iterate's own support.
+    `_pursuit_step`).  `multi_start`, which runs this loop directly with
+    its method's projection at s, turns it on; the public solvers leave
+    it off, so each of their steps is one Armijo step or a pursuit step
+    to the iterate's own support.
     `project`'s set must hold that indicator whenever an iterate has s
     points: both solvers' sets do, and growth stages, projecting onto
     fewer than s points, never offer it.
@@ -277,12 +279,6 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon,
 
 def iht_solve(instance, config: SolverConfig, x0) -> SolveResult:
     """Hard-thresholding projected gradient descent from a feasible x0."""
-    return _iht(instance, config, x0, False)
-
-
-def _iht(instance, config: SolverConfig, x0, repair) -> SolveResult:
-    """`iht_solve`, whose descent repairs declined pursuit offers when
-    `repair` is set (see `_descend`)."""
     s = instance.s
     x0 = np.asarray(x0, dtype=float)
     if not np.all((x0 >= 0.0) & (x0 <= 1.0)):  # NaN fails too
@@ -290,7 +286,7 @@ def _iht(instance, config: SolverConfig, x0, repair) -> SolveResult:
     if np.count_nonzero(x0) > s:
         raise ValueError(f"x0 has more than s={s} nonzeros")
     return _descend(instance, x0, lambda z: project_sparse_box(z, s),
-                    config.max_iters, _GAMMA, _EPSILON, repair)
+                    config.max_iters, _GAMMA, _EPSILON)
 
 
 def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
@@ -301,19 +297,13 @@ def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
     within rounding.  Iterates are generally dense; the recovery pipeline handles the
     fractional mass when extracting positions.
     """
-    return _l1pgd(instance, config, x0, False)
-
-
-def _l1pgd(instance, config: SolverConfig, x0, repair) -> SolveResult:
-    """`l1pgd_solve`, whose descent repairs declined pursuit offers when
-    `repair` is set (see `_descend`)."""
     s = instance.s
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     project = lambda z: project_capped_simplex(z, s)
     return _descend(instance, project(x0), project, config.max_iters, _GAMMA,
-                    _EPSILON, repair)
+                    _EPSILON)
 
 
 def stationarity_residual(x, tau: float, instance) -> float:
@@ -469,8 +459,10 @@ def _entries(instance, x) -> np.ndarray:
     return empty[np.argsort(g[empty], kind="stable")]
 
 
-def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveResult:
-    """One guided start: grow the support point by point, then `solve` at s.
+def _guided_start(instance, config: SolverConfig,
+                  start: int) -> tuple[np.ndarray, int]:
+    """One guided start: the support grown point by point to s-1 points,
+    and the steps its growth stages took.
 
     Begins from the anchored pair, its own first stage (its lag is
     observed, so a step at sparsity 2 returns it), and raises the sparsity
@@ -478,9 +470,8 @@ def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveRes
     hard-thresholding descent at base step _GAMMA * `_stage_scale`, to
     tolerance `_STAGE_EPSILON`, during which the projection births (at
     most) one new support coordinate where the residual wants it.  The
-    (s-1)-sparse result is handed to `solve`, one of the two solvers
-    (in `multi_start`, with the offer's repair on), which keeps base
-    step _GAMMA, so both methods descend from the same iterate.  Start 0
+    growth does not depend on the method that will finish the start, so
+    both methods descend from the same (s-1)-sparse iterate.  Start 0
     lets every stage take its greedy-best entry; later starts add the
     entering bin, drawn among the first `_ENTRY_CHOICES` of `_entries`,
     and on the circle also rotate the anchor lag.
@@ -499,9 +490,7 @@ def _guided_start(instance, config: SolverConfig, start: int, solve) -> SolveRes
                          config.max_iters, tau0, _STAGE_EPSILON)
         x = stage.x_final
         stage_iterations += stage.iterations
-    result = solve(instance, config, x)
-    result.total_iterations += stage_iterations
-    return result
+    return x, stage_iterations
 
 
 def _complete(instance, x, budget) -> bool:
@@ -546,7 +535,7 @@ def _repair(instance, x, budget=0) -> np.ndarray | None:
 
 
 def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveResult:
-    """Run either solver from several starts; the first that fits wins.
+    """Run either method from several starts; the first that fits wins.
 
     Runs config.restarts + 1 starts at most.  A start fits when its
     answer's rounded support holds s points whose L1 misfit is within
@@ -557,39 +546,48 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
     `total_iterations` to the steps of every start's descents: Armijo
     steps and the pursuit steps that end descents at an exact fit.
     Every start of either method grows the support from the anchored pair
-    by hard-thresholding stages, then runs the method's solver from the
-    (s-1)-sparse result (see `_guided_start`), so the methods differ only
-    in the descents that finish their starts.  A final descent that
-    reaches an s-point support fitting y exactly steps to its indicator
-    and stops there (`_descend`).  Unlike the public solvers' descents,
-    `multi_start`'s (final descents and re-solves) repair a support that
-    does not fit when it is offered: the indicator
-    `_repair(instance, x, 0)` rebuilds from the iterate's rounded support
-    is offered in its place, and if it is taken the answer's
-    `iterations` counts its whole final descent.  A start that
-    still does not fit gets one more repair (`_repair`) of its rounded
-    support, within the noise budget; a repaired indicator is solved
-    once more by the start's own solver, so the answer is a fixed point
-    of its method's iteration, and its `iterations` counts only that
-    re-solve.  With max_iters = 0 each start is returned as built,
-    unrepaired.
+    by hard-thresholding stages, without reference to the method (see
+    `_guided_start`); `multi_start` then runs `_descend` at base step
+    _GAMMA with its method's projection at s (the s-sparse box for
+    "iht", the capped simplex for "l1pgd") from the projected (s-1)-sparse
+    result, so the methods differ only in the descents that finish their
+    starts.  A final descent that reaches an s-point support fitting y
+    exactly steps to its indicator and stops there (`_descend`).  Unlike
+    the public solvers' descents, `multi_start`'s (final descents and
+    re-solves) repair a support that does not fit when it is offered: the
+    indicator `_repair(instance, x, 0)` rebuilds from the iterate's rounded
+    support is offered in its place, and if it is taken the answer's
+    `iterations` counts its whole final descent.  A start that still does
+    not fit gets one more repair (`_repair`) of its rounded support,
+    within the noise budget; a repaired indicator is descended from once
+    more the same way, so the answer is a fixed point of its method's
+    iteration, and its `iterations` counts only that re-solve.  With
+    max_iters = 0 each start is returned as built, unrepaired.
     """
-    if method not in ("iht", "l1pgd"):
+    s = instance.s
+    if method == "iht":
+        project = lambda z: project_sparse_box(z, s)
+    elif method == "l1pgd":
+        project = lambda z: project_capped_simplex(z, s)
+    else:
         raise ValueError(f"unknown method {method!r}")
-    solve = partial(_iht if method == "iht" else _l1pgd, repair=True)
     budget = misfit_budget(instance)
     best: SolveResult | None = None
     total_iterations = 0
     for start in range(config.restarts + 1):
-        result = _guided_start(instance, config, start, solve)
+        x, steps = _guided_start(instance, config, start)
+        result = _descend(instance, project(x), project, config.max_iters,
+                          _GAMMA, _EPSILON, repair=True)
         fit = _fits(instance, result.x_final, budget)
         if not fit and config.max_iters > 0:
             repaired = _repair(instance, result.x_final, budget)
             if repaired is not None:
-                total_iterations += result.total_iterations
-                result = solve(instance, config, repaired)
+                steps += result.iterations
+                result = _descend(instance, project(repaired), project,
+                                  config.max_iters, _GAMMA, _EPSILON,
+                                  repair=True)
                 fit = _fits(instance, result.x_final, budget)
-        total_iterations += result.total_iterations
+        total_iterations += steps + result.iterations
         result.start_index = start
         if fit or best is None or result.f_final < best.f_final:
             best = result

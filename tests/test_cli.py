@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from udgp import (Geometry, LagOperator, NumericError, SolverConfig,
-                  bins_to_positions, iht_solve)
+                  bins_to_positions, iht_solve, multi_start)
 from udgp.cli import main
 from udgp.instances import Instance, save_instance
 
@@ -369,6 +369,20 @@ class TestBench:
         out = tmp_path / "missing" / "b.csv"
         assert run(["bench", "--geometry", "beltway", "--s", "4", "--n", "40",
                     "--trials", "0", "--out", str(out)]) == 3
+
+    def test_unwritable_out_exits_3_before_solving(self, tmp_path,
+                                                   monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return multi_start(*args, **kwargs)
+
+        monkeypatch.setattr("udgp.cli.multi_start", counted)
+        out = tmp_path / "missing" / "b.csv"
+        assert run(["bench", "--geometry", "beltway", "--s", "4", "--n", "40",
+                    "--trials", "1", "--out", str(out)]) == 3
+        assert calls == []
 
     def test_custom_grid_requires_cell_flags(self, tmp_path, capsys):
         cell = {"--geometry": "beltway", "--s": "4", "--n": "40"}

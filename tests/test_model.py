@@ -5,6 +5,7 @@ import pytest
 
 from oracles import forward_direct, gradient_direct
 from udgp import Geometry, LagOperator
+from udgp.cli import BENCH_SCALES
 
 
 def indicator(n, bins):
@@ -270,6 +271,19 @@ def test_kernels_return_float64_without_pairs_or_residual(geom):
         assert op.gradient(x, y).dtype == np.float64
     x = indicator(n, [0, 3, 7])  # r = 0
     assert op.gradient(x, y).dtype == np.float64
+
+
+@pytest.mark.parametrize("geom", list(Geometry))
+@pytest.mark.parametrize("s,n", BENCH_SCALES)
+def test_published_sizes_take_the_pair_and_window_paths(geom, s, n):
+    """At the published sizes every hard-thresholded iterate, at most s
+    points, takes the pair and window paths, and a dense one neither:
+    the path budgets and `_WINDOW_PER_FFT`/`_WINDOW_PER_CALL` keep
+    README's claim."""
+    op = LagOperator(n, geom)
+    sparse, dense = np.arange(s), np.arange(n)
+    assert op._pairs(sparse) and op._windows(sparse)
+    assert not op._pairs(dense) and not op._windows(dense)
 
 
 def test_operator_validation():

@@ -1,7 +1,6 @@
 """Hard-thresholding solver: line search, stopping, diagnostics, restarts."""
 
 from dataclasses import fields, replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -122,14 +121,41 @@ def _dense_start(n, s):
 
 def _grown_start(inst, seed=0, start=0):
     """The (s-1)-sparse iterate `_guided_start`'s growth stages hand over."""
-    handed = []
+    return solver._guided_start(inst, SolverConfig(seed=seed), start)[0]
 
-    def keep(instance, config, x):
-        handed.append(x.copy())
-        return iht_solve(instance, replace(config, max_iters=0), x)
 
-    solver._guided_start(inst, SolverConfig(seed=seed), start, keep)
-    return handed[0]
+def _spy_descents(monkeypatch, finish_max_iters=None):
+    """Record `multi_start`'s descents in call order as (kind, item) pairs:
+    ("stage", call) for each descent `_guided_start` runs, ("grown", x)
+    for each iterate it returns, and ("finish", call) for every other
+    descent, a call being (x0, tau0, epsilon, repair, result).  With
+    finish_max_iters, those other descents take at most that many steps."""
+    events = []
+    descend, guided_start = solver._descend, solver._guided_start
+    growing = [False]
+
+    def recorded(instance, x0, project, max_iters, tau0, epsilon,
+                 repair=False):
+        if not growing[0] and finish_max_iters is not None:
+            max_iters = finish_max_iters
+        result = descend(instance, x0, project, max_iters, tau0, epsilon,
+                         repair)
+        events.append(("stage" if growing[0] else "finish",
+                       (np.array(x0), tau0, epsilon, repair, result)))
+        return result
+
+    def grown(instance, config, start):
+        growing[0] = True
+        try:
+            x, steps = guided_start(instance, config, start)
+        finally:
+            growing[0] = False
+        events.append(("grown", x.copy()))
+        return x, steps
+
+    monkeypatch.setattr(solver, "_descend", recorded)
+    monkeypatch.setattr(solver, "_guided_start", grown)
+    return events
 
 
 def _descend_cases():
@@ -257,31 +283,22 @@ class TestStageStep:
                 assert step.t == 0
                 np.testing.assert_array_equal(step.x, x)
 
-    @pytest.mark.parametrize("geom", list(Geometry))
+    # both win on a drawn start; turnpike 29 also re-solves a repair
+    @pytest.mark.parametrize("geom,seed", [(Geometry.TURNPIKE, 29),
+                                           (Geometry.BELTWAY, 4)])
     def test_stages_scale_their_step_and_the_final_descent_does_not(
-            self, geom, monkeypatch):
-        calls = []
-        descend = solver._descend
-
-        def recorded(instance, x0, project, max_iters, tau0, epsilon,
-                     repair=False):
-            result = descend(instance, x0, project, max_iters, tau0, epsilon,
-                             repair)
-            calls.append((tau0, epsilon, repair, result))
-            return result
-
-        monkeypatch.setattr(solver, "_descend", recorded)
-        inst = generate_instance(geom, 10, 1000, 0.0, 3)
-        # the final solve `multi_start` hands its starts
-        final = solver._guided_start(inst, SolverConfig(seed=3), 1,
-                                     partial(solver._iht, repair=True))
+            self, geom, seed, monkeypatch):
+        events = _spy_descents(monkeypatch)
+        inst = generate_instance(geom, 10, 1000, 0.0, seed)
+        res = multi_start(inst, SolverConfig(seed=3))
+        assert res.start_index >= 1  # a drawn start ran, and won
         gamma, alpha = solver._GAMMA, solver._ALPHA
-        *stages, (final_tau0, final_epsilon, final_repair, last) = calls
-        assert last is final and final_tau0 == gamma
-        assert final_epsilon == solver._EPSILON and final_repair
-        assert len(stages) == inst.s - 3
+        stages = [call for kind, call in events if kind == "stage"]
+        finishes = [call for kind, call in events if kind == "finish"]
+        assert len(stages) == res.starts_run * (inst.s - 3)
+        assert finishes[-1][-1] is res
         kappa = solver._stage_scale(inst)
-        for tau0, epsilon, repair, stage in stages:
+        for _, tau0, epsilon, repair, stage in stages:
             assert tau0 == gamma * kappa and epsilon == solver._STAGE_EPSILON
             assert not repair
             assert stage.stop_reason is StopReason.CONVERGED
@@ -289,10 +306,13 @@ class TestStageStep:
                 stage.step_size_trace,
                 gamma * kappa * alpha ** stage.backtrack_trace.astype(float))
         assert max(stage.step_size_trace.max() for *_, stage in stages) > gamma
-        np.testing.assert_array_equal(
-            final.step_size_trace,
-            gamma * alpha ** final.backtrack_trace.astype(float))
-        assert final.iterations > 0 and np.all(final.step_size_trace <= gamma)
+        for _, tau0, epsilon, repair, final in finishes:
+            assert tau0 == gamma and epsilon == solver._EPSILON and repair
+            np.testing.assert_array_equal(
+                final.step_size_trace,
+                gamma * alpha ** final.backtrack_trace.astype(float))
+            assert np.all(final.step_size_trace <= gamma)
+        assert res.iterations > 0
 
 
 def _spy_pursuit(monkeypatch):
@@ -596,21 +616,33 @@ class TestMultiStart:
         assert rep.co_p == 10
 
     @pytest.mark.parametrize("geom", list(Geometry))
-    def test_both_methods_descend_from_the_same_grown_start(self, geom):
-        """Growth stages do not depend on the method: `_guided_start` hands
-        `iht_solve` and `l1pgd_solve` the same (s-1)-sparse iterate, bit
-        for bit, on the greedy start and on drawn ones."""
+    def test_both_methods_descend_from_the_same_grown_start(
+            self, geom, monkeypatch):
+        """Growth does not depend on the method: `multi_start` hands its
+        final `_descend` the iterate `_guided_start` grew, bit for bit, as
+        IHT and projected onto the capped simplex as l1pgd, on the greedy
+        start and on drawn ones."""
         inst = generate_instance(geom, 10, 1000, 0.0, 90000)
-        cfg = SolverConfig(seed=5)
-        for start in range(3):
-            handed = {}
-            for solve in (iht_solve, l1pgd_solve):
-                def recorded(instance, config, x, solve=solve):
-                    handed[solve] = x.copy()
-                    return solve(instance, replace(config, max_iters=0), x)
-                solver._guided_start(inst, cfg, start, recorded)
-            np.testing.assert_array_equal(handed[iht_solve], handed[l1pgd_solve])
-            assert np.count_nonzero(handed[iht_solve]) == inst.s - 1
+        # finishing descents take no step and nothing is repaired, so no
+        # start fits and all three run
+        monkeypatch.setattr(solver, "_repair", lambda *args: None)
+        events = _spy_descents(monkeypatch, finish_max_iters=0)
+        handed = {}
+        for method in ("iht", "l1pgd"):
+            events.clear()
+            multi_start(inst, SolverConfig(seed=5, restarts=2), method)
+            grown = [x for kind, x in events if kind == "grown"]
+            x0s = [call[0] for kind, call in events if kind == "finish"]
+            assert len(grown) == len(x0s) == 3
+            handed[method] = grown, x0s
+        grown, x0s = handed["iht"]
+        for x, x0 in zip(grown, x0s):
+            assert np.count_nonzero(x) == inst.s - 1
+            np.testing.assert_array_equal(x0, x)
+        for x, (l1_x, l1_x0) in zip(grown, zip(*handed["l1pgd"])):
+            np.testing.assert_array_equal(l1_x, x)
+            np.testing.assert_array_equal(
+                l1_x0, project_capped_simplex(x, inst.s))
 
     def test_unknown_method(self):
         inst = small_instance()
