@@ -31,7 +31,9 @@ re-anchors its rounded support and completes it point by point where
 hard-thresholding steps would birth them (`_entries`).
 `multi_start`'s descents try that repair as soon as an s-point support
 they offer does not fit y exactly, and take the repaired indicator as
-the pursuit step instead; a start that still does not fit is repaired
+the pursuit step instead; they offer again each time the iterate's
+rounded support changes, so the repair sees every rounded support the
+descent passes through.  A start that still does not fit is repaired
 once more before a restart, within the noise budget, and a fit found
 that way is descended from once more with the method's projection.
 `iht_solve` and `l1pgd_solve`, called on their own, never repair.
@@ -189,7 +191,10 @@ def _pursuit_step(x, f_x, support, instance, repair) -> Step | None:
     (`_fits` with budget 0) and passes the sufficient-decrease rule from
     x; otherwise None.  With `repair`, an x_b that does not fit is replaced
     by `_repair(instance, x, 0)`, the indicator rebuilt from x's rounded
-    support, which is offered under the same test.
+    support, which is offered under the same test.  `_descend` calls this
+    again whenever that rounded support changes, since the repair's
+    answer depends on it; without `repair` the answer depends on the
+    support alone, so it is offered again only when the support changes.
     """
     xb = np.zeros(instance.n)
     xb[support] = 1.0
@@ -220,15 +225,18 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon,
     finite there exactly when it is at a finite x0.
 
     The loop stops at a step no longer than epsilon, or at an exact fit:
-    the first time an accepted iterate holds a new support of exactly s
-    points, its indicator is offered as the next step (`_pursuit_step`),
-    and if it is taken the descent ends there, CONVERGED at a fixed point.
-    With `repair`, an offered indicator that does not fit is replaced by
-    the one `_repair` rebuilds from the iterate's rounded support (see
-    `_pursuit_step`).  `multi_start`, which runs this loop directly with
-    its method's projection at s, turns it on; the public solvers leave
-    it off, so each of their steps is one Armijo step or a pursuit step
-    to the iterate's own support.
+    when an accepted iterate holds exactly s points on a support other
+    than the last one offered, its indicator is offered as the next step
+    (`_pursuit_step`), and if it is taken the descent ends there,
+    CONVERGED at a fixed point.  With `repair`, an offered indicator that
+    does not fit is replaced by the one `_repair` rebuilds from the
+    iterate's rounded support (see `_pursuit_step`), and the offer is
+    keyed on that rounded support too: it is made again whenever the set
+    of the s support entries above 0.5 changes, a test that reads those
+    s entries rather than all n.  `multi_start`, which runs this loop
+    directly with its method's projection at s, turns it on; the public
+    solvers leave it off, so each of their steps is one Armijo step or a
+    pursuit step to the iterate's own support.
     `project`'s set must hold that indicator whenever an iterate has s
     points: both solvers' sets do, and growth stages, projecting onto
     fewer than s points, never offer it.
@@ -241,12 +249,16 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon,
     obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
     last_tau = tau0
-    offered = None  # support bytes of the last iterate offered to pursuit
+    offered = None  # offer key (see docstring) of the last iterate offered
     for k in range(max_iters):
         step = None
-        if k and support.size == instance.s and support.tobytes() != offered:
-            offered = support.tobytes()
-            step = _pursuit_step(x, f_x, support, instance, repair)
+        if k and support.size == instance.s:
+            key = support.tobytes()
+            if repair:
+                key += (x[support] > 0.5).tobytes()
+            if key != offered:
+                offered = key
+                step = _pursuit_step(x, f_x, support, instance, repair)
         pursued = step is not None
         if not pursued:
             grad = op.gradient(x, y, r, support)
@@ -556,7 +568,8 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
     the public solvers' descents, `multi_start`'s (final descents and
     re-solves) repair a support that does not fit when it is offered: the
     indicator `_repair(instance, x, 0)` rebuilds from the iterate's rounded
-    support is offered in its place, and if it is taken the answer's
+    support is offered in its place, the offer is made again each time
+    that rounded support changes, and if one is taken the answer's
     `iterations` counts its whole final descent.  A start that still does
     not fit gets one more repair (`_repair`) of its rounded support,
     within the noise budget; a repaired indicator is descended from once

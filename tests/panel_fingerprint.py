@@ -51,18 +51,20 @@ def fingerprint_lines():
                    f"{result.starts_run} | {result.total_iterations}")
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def main(doc, expected_path, lines) -> int:
+    """Print lines(), or with --check diff them against expected_path;
+    `tests/grid_fingerprint.py` runs its own lines through this too."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help=f"diff against {EXPECTED.name}; exit 1 on a difference")
+                        help=f"diff against {expected_path.name}; exit 1 on a difference")
     args = parser.parse_args()
     if not args.check:
-        for line in fingerprint_lines():
+        for line in lines():
             print(line, flush=True)
         return 0
-    expected = EXPECTED.read_text().splitlines()
-    diff = list(difflib.unified_diff(expected, list(fingerprint_lines()),
-                                     EXPECTED.name, "this checkout",
+    expected = expected_path.read_text().splitlines()
+    diff = list(difflib.unified_diff(expected, list(lines()),
+                                     expected_path.name, "this checkout",
                                      n=0, lineterm=""))
     for line in diff:
         print(line)
@@ -74,4 +76,4 @@ if __name__ == "__main__":
         os.environ[var] = "1"
     root = Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    sys.exit(main())
+    sys.exit(main(__doc__, EXPECTED, fingerprint_lines))

@@ -329,6 +329,19 @@ def _spy_pursuit(monkeypatch):
     return taken
 
 
+def _spy_accepted(monkeypatch):
+    """Record every `Step` that `armijo_step` accepts."""
+    accepted = []
+    step = solver.armijo_step
+
+    def spied(*args, **kwargs):
+        accepted.append(step(*args, **kwargs))
+        return accepted[-1]
+
+    monkeypatch.setattr(solver, "armijo_step", spied)
+    return accepted
+
+
 def _count_calls(monkeypatch, name):
     """Count the calls of `solver.<name>`, in a one-element list."""
     calls = [0]
@@ -345,7 +358,8 @@ def _count_calls(monkeypatch, name):
 class TestPursuitExit:
     """An accepted iterate on a new support of s points offers that
     support's indicator as the next step; a descent that takes it stops
-    there, CONVERGED at an exact fit."""
+    there, CONVERGED at an exact fit.  `multi_start`'s descents, which
+    repair the offer, also offer again when the rounded support changes."""
 
     @pytest.mark.parametrize("geom", list(Geometry))
     def test_grown_start_ends_at_an_exact_fit(self, geom):
@@ -411,18 +425,46 @@ class TestPursuitExit:
         assert res.stationarity_residual == 0.0
         assert res.total_iterations < 1000
 
+    @pytest.mark.parametrize("geom, inst_seed, seed, xi, iterations, total", [
+        (Geometry.TURNPIKE, 90005, 86, 3e-5, 64, 351),
+        (Geometry.BELTWAY, 90002, 35, 1e-5, 62, 359),
+        (Geometry.BELTWAY, 90005, 86, 3e-5, 75, 404),
+    ])
+    def test_reoffer_at_rounded_support_change(self, geom, inst_seed, seed,
+                                               xi, iterations, total):
+        """`iht_published` instances whose start-0 final descent declines
+        its s-point offer before the rounded support {x > 0.5} settles.
+        The offer is made again when that rounded support changes, and its
+        repair ends the descent; offered once, the descent would crawl on
+        to epsilon and be repaired only after it (1 iteration, 1,685, 930
+        and 1,125 steps in all)."""
+        inst = generate_instance(geom, 10, 1000, xi, inst_seed)
+        res = multi_start(inst, SolverConfig(seed=seed))
+        assert res.start_index == 0 and res.starts_run == 1
+        assert res.stop_reason is StopReason.CONVERGED
+        assert res.f_final == 0.0 and binary_misfit(inst, res.x_final) == 0
+        assert res.iterations == iterations
+        assert res.total_iterations == total
+
     def test_public_solver_never_repairs(self, monkeypatch):
         """`iht_solve` from the same (s-1)-sparse start declines the wrong
         support and crawls on: every iteration is one Armijo step, and the
-        repair never runs."""
+        repair never runs.  Each s-point support is offered once, however
+        often its rounded support changes."""
         inst = generate_instance(Geometry.TURNPIKE, 20, 2000, 0.0, 90000)
         x0 = _grown_start(inst, seed=1)
         taken = _spy_pursuit(monkeypatch)
-        steps = _count_calls(monkeypatch, "armijo_step")
+        accepted = _spy_accepted(monkeypatch)
         repairs = _count_calls(monkeypatch, "_repair")
         res = iht_solve(inst, SolverConfig(seed=1), x0)
         assert taken and not any(taken) and repairs[0] == 0
-        assert steps[0] == res.iterations > 2
+        assert len(accepted) == res.iterations > 2
+        # the last iterate is never offered
+        offerable = [st for st in accepted[:-1] if st.support.size == inst.s]
+        supports = {st.support.tobytes() for st in offerable}
+        rounded = {(st.support.tobytes(), (st.x[st.support] > 0.5).tobytes())
+                   for st in offerable}
+        assert len(taken) == len(supports) < len(rounded)
         assert res.stop_reason is StopReason.CONVERGED
         assert res.final_step_norm <= solver._EPSILON
         assert binary_misfit(inst, res.x_final) > 0
