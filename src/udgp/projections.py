@@ -6,6 +6,11 @@
   minimizer obtained by breaking ranking ties toward the lowest index.
 * `project_capped_simplex`: the capped simplex {x in [0,1]^n : sum x = s},
   used by the l1 projected-gradient baseline.  Convex, unique minimizer.
+  Its multiplier is bracketed between two sorted breakpoints found among
+  the few largest entries of z, since the baseline's iterates hold a few
+  dozen nonzeros; because the clipped sum as computed is monotone in the
+  multiplier, the answer is bit for bit that of bisecting all 2n
+  breakpoints.
 """
 
 from __future__ import annotations
@@ -58,7 +63,27 @@ def capped_simplex_with_multiplier(z, s: int) -> tuple[np.ndarray, float]:
     The minimizer has the form x_j = clip(z_j + lam, 0, 1) where lam makes
     the coordinate sum equal s.  The sum is piecewise linear and
     nondecreasing in lam with breakpoints at -z_j and 1 - z_j, so lam is
-    found by an exact breakpoint search (no iterative tolerance).
+    interpolated between the two consecutive sorted breakpoints that
+    bracket s: an exact search with no iterative tolerance (Wang & Lu,
+    "Projection onto the capped simplex", 2015).
+
+    The bracket is sought among t, the k largest entries of z, with
+    k = 8s at first.  Below c = -(the (k+1)-th largest entry) no other
+    coordinate is positive, so t's breakpoints below c, then c, are the
+    leading entries of all 2n sorted breakpoints.  If t's clipped sum at c
+    is short of s, k grows fourfold, up to n.  Otherwise t's sum at each
+    of these breakpoints is estimated by a sweep over their slopes, and
+    the first whose estimate reaches s is where the search starts; the
+    computed sum `cap_sum` then settles the bracket, stepping up while it
+    is short of s and down while the breakpoint below also reaches s.
+
+    `cap_sum` as computed is nondecreasing in lam: float addition, clip
+    and NumPy's fixed pairwise summation are each monotone.  So bisecting
+    all 2n sorted breakpoints returns one pair: hi, the least index >= 1
+    whose sum reaches s, or the last index when none does (s = n with the
+    sum at the last breakpoint rounded just under n), and lo = hi - 1.
+    This search finds the same pair of values and applies the same
+    interpolation, so x and lam are the bisection's bit for bit.
 
     Returns (x, lam); lam is what the KKT sign conditions are stated in
     terms of, which the test suite checks directly.
@@ -75,17 +100,48 @@ def capped_simplex_with_multiplier(z, s: int) -> tuple[np.ndarray, float]:
     def cap_sum(lam: float) -> float:
         return float(np.clip(z + lam, 0.0, 1.0).sum())
 
-    bp = np.concatenate([-z, 1.0 - z])
-    bp.sort()
-    # cap_sum(bp[0]) == 0 and cap_sum(bp[-1]) == n, so s is bracketed
-    lo, hi = 0, 2 * n - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if cap_sum(bp[mid]) < s:
-            lo = mid
-        else:
-            hi = mid
-    s_lo, s_hi = cap_sum(bp[lo]), cap_sum(bp[hi])
+    k = min(n, 8 * s)
+    part = np.partition(z, n - k - 1) if k < n else z
+    while True:
+        t = part[n - k:]
+        if k < n:
+            c = -part[n - k - 1]
+            # each t_j + c >= 0, so only the cap at 1 clips t's sum at c
+            if np.minimum(t + c, 1.0).sum() < s:
+                k = min(n, 4 * k)
+                part = np.sort(part)  # one sort serves every wider k
+                continue
+        starts = np.sort(-t)
+        both = np.concatenate([starts, starts + 1.0])  # -t_j, then 1 - t_j
+        order = np.argsort(both, kind="stable")  # merges two sorted runs
+        bp = both[order]
+        # t's clipped sum has slope +1 past each -t_j, -1 past each 1 - t_j
+        slope = np.cumsum(np.where(order < k, 1.0, -1.0))
+        if k < n:
+            # the breakpoints below c, then c
+            bp = np.concatenate([bp[:np.searchsorted(bp, c)], [c]])
+        last = bp.size - 1
+        # estimate[j] is t's clipped sum at bp[j + 1]; it is 0 at bp[0]
+        estimate = np.cumsum(slope[:last] * np.diff(bp))
+        hi = min(last, 1 + int(np.count_nonzero(estimate < s)))
+        s_hi = cap_sum(bp[hi])
+        while s_hi < s and hi < last:
+            # equal breakpoints have equal sums: skip past them
+            hi = min(last, int(np.searchsorted(bp, bp[hi], "right")))
+            s_hi = cap_sum(bp[hi])
+        # at k = n a last breakpoint whose rounded sum falls short of s
+        # (s = n) closes the bracket, as in the bisection
+        if s_hi < s and k < n:
+            k = min(n, 4 * k)
+            part = np.sort(part)
+            continue
+        lo = hi - 1
+        s_lo = cap_sum(bp[lo])
+        while lo > 0 and s_lo >= s:
+            hi, s_hi = max(1, int(np.searchsorted(bp, bp[lo], "left"))), s_lo
+            lo = hi - 1
+            s_lo = cap_sum(bp[lo])
+        break
     if s_hi <= s_lo:
         lam = float(bp[lo])
     else:

@@ -2,10 +2,11 @@
 
 Each is the plain form of a computation the library does a faster way:
 the lag model's forward map and gradient, the sparse-box projection's
-two-scan tie rule, the projected-gradient loop that evaluates every
-iterate afresh, the L-stationarity sign check, a random binary start,
-the bin-by-bin cluster walk of position extraction and the
-symmetry-aware recovery count.
+two-scan tie rule, the capped-simplex bisection over all 2n breakpoints,
+the projected-gradient loop that evaluates every iterate afresh, the
+L-stationarity sign check, a random binary start, the bin-by-bin
+cluster walk of position extraction and the symmetry-aware recovery
+count.
 """
 
 import math
@@ -65,6 +66,34 @@ def project_sparse_box_two_scan(z, s: int) -> np.ndarray:
     x = np.zeros(n)
     x[keep] = clipped[keep]
     return x
+
+
+def capped_simplex_bisection(z, s: int) -> tuple[np.ndarray, float]:
+    """Reference capped-simplex projection: sort all 2n breakpoints and
+    bisect them with the clipped sum.  Returns (x, lam)."""
+    z = np.asarray(z, dtype=float)
+    n = z.size
+
+    def cap_sum(lam: float) -> float:
+        return float(np.clip(z + lam, 0.0, 1.0).sum())
+
+    bp = np.concatenate([-z, 1.0 - z])
+    bp.sort()
+    # cap_sum(bp[0]) == 0 and cap_sum(bp[-1]) == n, so s is bracketed
+    lo, hi = 0, 2 * n - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cap_sum(bp[mid]) < s:
+            lo = mid
+        else:
+            hi = mid
+    s_lo, s_hi = cap_sum(bp[lo]), cap_sum(bp[hi])
+    if s_hi <= s_lo:
+        lam = float(bp[lo])
+    else:
+        frac = (s - s_lo) / (s_hi - s_lo)
+        lam = float(bp[lo] + frac * (bp[hi] - bp[lo]))
+    return np.clip(z + lam, 0.0, 1.0), lam
 
 
 def armijo_step_reference(x, grad, f_x, instance, project, tau0):

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import project_sparse_box_two_scan
+from oracles import capped_simplex_bisection, project_sparse_box_two_scan
 from udgp import (capped_simplex_with_multiplier, project_capped_simplex,
                   project_sparse_box)
 
@@ -148,6 +148,61 @@ class TestCappedSimplex:
                                     - project_capped_simplex(z2, s))
             assert d_proj <= np.linalg.norm(z1 - z2) + 1e-12
 
+    def test_matches_bisection_bit_for_bit(self):
+        """The top-k bracket search returns the x and multiplier of the
+        sort-and-bisect search over all 2n breakpoints."""
+        rng = np.random.default_rng(41)
+        cases = []
+        for n in (1, 2, 7, 30, 1000, 2000):
+            for _ in range(6 if n >= 1000 else 300):
+                s = int(rng.integers(1, n + 1))
+                indicator = np.zeros(n)
+                indicator[rng.choice(n, s, replace=False)] = 1.0
+                near_binary = indicator + 1e-3 * rng.standard_normal(n)
+                nan_entry = rng.standard_normal(n)
+                nan_entry[rng.integers(n)] = np.nan
+                cases += [(rng.standard_normal(n), s),
+                          (near_binary, s),
+                          (np.round(rng.uniform(-1.0, 2.0, n), 1), s),  # ties
+                          (indicator, s),
+                          (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3), s),
+                          (rng.uniform(-3.0, 3.0, n), 1),
+                          (rng.uniform(-3.0, 3.0, n), n),
+                          (nan_entry, s)]
+        # the rounded sum at the last breakpoint can fall just short of n;
+        # the bisection then brackets with the last two breakpoints
+        clamped = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 30))
+            z = rng.uniform(-3.0, 3.0, n)
+            clamped += np.clip(z + (1.0 - z.min()), 0.0, 1.0).sum() < n
+            cases.append((z, n))
+        # more than 8s coordinates positive: the search widens past k = 8s,
+        # once to a k below n and once to all of z
+        widened = 0
+        for n, s in ((1000, 10), (2000, 20)):
+            for scale in (0.2, 0.005):
+                z = rng.uniform(0.0, scale, n)
+                z[rng.choice(n, s // 2, replace=False)] = 1.0
+                cases.append((z, s))
+                widened += np.count_nonzero(project_capped_simplex(z, s)) > 8 * s
+        # two inputs whose estimated sum reaches s a breakpoint too early,
+        # so the search steps up: in the first within all of z, in the
+        # second to c and then widens
+        cases += [(np.array([-0.5, 1.8, 1.5, -0.2, 0.6, 0.1, -0.4, 0.3, -0.4,
+                             -0.4, 0.7]), 6),
+                  (np.array([-0.18, 0.12, -0.16, 0.01, -0.06, 0.19, 0.08,
+                             -0.21, -0.01, -0.03, -0.12, 0.05, -0.06, -0.06,
+                             -0.02, -0.1, -0.01, -0.12, 0.14, -0.04, -0.08,
+                             -0.01, 0.01, 0.04, -0.1, 0.15, -0.03, 0.05,
+                             -0.11]), 3)]
+        for z, s in cases:
+            x, lam = capped_simplex_with_multiplier(z, s)
+            x_ref, lam_ref = capped_simplex_bisection(z, s)
+            np.testing.assert_array_equal(x, x_ref)
+            assert lam == lam_ref or (np.isnan(lam) and np.isnan(lam_ref))
+        assert clamped > 0 and widened == 4
+
     def test_infeasible_target(self):
         with pytest.raises(ValueError):
             project_capped_simplex([0.0, 0.0], 3)
@@ -155,3 +210,18 @@ class TestCappedSimplex:
             project_capped_simplex([[0.0, 0.0]], 1)
         with pytest.raises(ValueError):
             capped_simplex_with_multiplier([0.0, 0.0], 0)
+
+
+@pytest.mark.parametrize("s, n", [(10, 1000), (20, 2000), (30, 4000)])
+def test_indicator_comes_back_bit_for_bit(s, n):
+    """An s-point indicator, what a repair hands a descent, is a fixed point
+    of both projections, with its points near the grid's ends or inside."""
+    rng = np.random.default_rng(s)
+    supports = [np.arange(s), np.arange(n - s, n),
+                np.r_[0:s // 2, n - (s - s // 2):n],
+                rng.choice(np.arange(n // 4, 3 * n // 4), s, replace=False)]
+    for support in supports:
+        x = np.zeros(n)
+        x[support] = 1.0
+        np.testing.assert_array_equal(project_sparse_box(x, s), x)
+        np.testing.assert_array_equal(project_capped_simplex(x, s), x)
