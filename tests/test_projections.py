@@ -159,13 +159,14 @@ class TestCappedSimplex:
                 indicator = np.zeros(n)
                 indicator[rng.choice(n, s, replace=False)] = 1.0
                 near_binary = indicator + 1e-3 * rng.standard_normal(n)
+                scaled = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
                 nan_entry = rng.standard_normal(n)
                 nan_entry[rng.integers(n)] = np.nan
                 cases += [(rng.standard_normal(n), s),
                           (near_binary, s),
                           (np.round(rng.uniform(-1.0, 2.0, n), 1), s),  # ties
                           (indicator, s),
-                          (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3), s),
+                          (scaled, s),
                           (rng.uniform(-3.0, 3.0, n), 1),
                           (rng.uniform(-3.0, 3.0, n), n),
                           (nan_entry, s)]
@@ -185,7 +186,8 @@ class TestCappedSimplex:
                 z = rng.uniform(0.0, scale, n)
                 z[rng.choice(n, s // 2, replace=False)] = 1.0
                 cases.append((z, s))
-                widened += np.count_nonzero(project_capped_simplex(z, s)) > 8 * s
+                x = project_capped_simplex(z, s)
+                widened += np.count_nonzero(x) > 8 * s
         # two inputs whose estimated sum reaches s a breakpoint too early,
         # so the search steps up: in the first within all of z, in the
         # second to c and then widens
