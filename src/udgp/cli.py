@@ -27,17 +27,15 @@ BENCH_NOISE = [0.0, 1e-5, 3e-5, 5e-5, 7e-5]
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=None, help="extra solver starts")
-    p.add_argument("--max-iters", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=SolverConfig.restarts,
+                   help="extra solver starts (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
+                   help="steps per descent (default %(default)s)")
 
 
 def _config_from_args(args, seed: int) -> SolverConfig:
-    kwargs = {"seed": seed}
-    for flag in ["restarts", "max_iters"]:
-        value = getattr(args, flag)
-        if value is not None:
-            kwargs[flag] = value
-    return SolverConfig(**kwargs)
+    return SolverConfig(max_iters=args.max_iters, restarts=args.restarts,
+                        seed=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

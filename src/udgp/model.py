@@ -36,8 +36,8 @@ import numpy as np
 
 # The window gradient costs about k*n, the FFT one L*log2(L) plus a per-call
 # cost; the window runs while k*n <= _WINDOW_PER_FFT * L*log2(L) +
-# _WINDOW_PER_CALL, fitted to the break-even points that
-# tests/gradient_costs.py prints (x86, NumPy 2.4.6, one BLAS thread).
+# _WINDOW_PER_CALL, fitted to the break-even points in the gradient table
+# of tests/layer_costs.py (x86, NumPy 2.4.6, one BLAS thread).
 _WINDOW_PER_FFT = 4.0
 _WINDOW_PER_CALL = 1 << 16
 _BLOCK_ENTRIES = 1 << 17

@@ -13,9 +13,10 @@ environment they ran in:
 - the panel work counts: `starts_run` and `total_iterations` of every
   instance that `tests/panel_fingerprint.py` solves, with their sums per
   workload;
-- `udgp bench --scales 10:1000,20:2000 --trials 2 --seed 0`: every cell
-  row (mean Co.P, mean solve time, the time ratio and, where the CSV has
-  it, the homometric trial count), and per cell the `starts_run` and
+- `udgp bench --scales 10:1000,20:2000 --trials 2 --seed 0`, the grid
+  `tests/grid_fingerprint.py` checks (its `GRID`): every cell row (mean
+  Co.P, mean solve time, the time ratio and, where the CSV has it, the
+  homometric trial count), and per cell the `starts_run` and
   `total_iterations` summed over its trials from the `.trials.csv`.  The
   (30,4000) cells are left out: their xi = 7e-5 trials run all 50
   starts, minutes per trial.  `mean_time_s` is raw wall time over two
@@ -41,12 +42,12 @@ from pathlib import Path
 
 import numpy as np
 
+from grid_fingerprint import GRID
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("iht_published", "iht_large", "l1pgd_baseline", "iht_noisy")
 SEEDS = (1, 2, 3)
 SECONDS = 30
-SCALES = "10:1000,20:2000"
-GRID = ["bench", "--scales", SCALES, "--trials", "2", "--seed", "0"]
 
 
 def _env() -> dict:

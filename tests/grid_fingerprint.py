@@ -17,7 +17,7 @@ import path before NumPy loads.  It takes about 7 seconds on one x86
 core.  `tests/grid_fingerprint.txt` holds its output for the current
 code, made with NumPy 2.4.6.  With --check the script prints, as a diff,
 the lines where this checkout's output differs from that file, and exits
-1 if any does; `tests/test_grid_fingerprint.py` runs that check under
+1 if any does; `tests/test_fingerprints.py` runs that check under
 pytest.
 """
 

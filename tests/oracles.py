@@ -3,7 +3,9 @@
 Each is the plain form of a computation the library does a faster way:
 the lag model's forward map and gradient, the sparse-box projection's
 two-scan tie rule, the capped-simplex bisection over all 2n breakpoints,
-the projected-gradient loop that evaluates every iterate afresh, the
+the projected-gradient loop that evaluates every iterate afresh, under
+either offer rule of its pursuit step (the support's own indicator, or
+with repair the indicator rebuilt from a declined support), the
 L-stationarity sign check, a random binary start, the bin-by-bin
 cluster walk of position extraction and the symmetry-aware recovery
 count.
@@ -113,28 +115,34 @@ def armijo_step_reference(x, grad, f_x, instance, project, tau0):
     raise BacktrackExhausted("no backtrack exponent gave sufficient decrease")
 
 
-def pursuit_step_reference(x, f_x, instance):
+def pursuit_step_reference(x, f_x, instance, repair=False):
     """Reference pursuit step: the indicator x_b of x's support, scored by
-    `binary_misfit` and evaluated through `objective`.
+    `binary_misfit` and evaluated through `objective`.  With repair, an
+    x_b that does not fit y exactly is replaced by
+    `solver._repair(instance, x, 0)`, if that finds one.
 
     Returns (x_b, f(x_b), tau, t) if x_b fits y exactly and passes the
     sufficient-decrease rule from x, else None."""
     xb = (np.asarray(x) != 0.0).astype(float)
     if binary_misfit(instance, xb) != 0.0:
-        return None
+        xb = solver._repair(instance, x, 0) if repair else None
+        if xb is None:
+            return None
     f_b = instance.op.objective(xb, instance.y)
     if f_x - f_b < 0.5 * solver._DELTA * float((x - xb) @ (x - xb)):
         return None
     return xb, f_b, solver._GAMMA, 0
 
 
-def descend_reference(instance, x0, project, max_iters, tau0,
-                      epsilon) -> SolveResult:
+def descend_reference(instance, x0, project, max_iters, tau0, epsilon,
+                      repair=False) -> SolveResult:
     """Reference projected-gradient loop: every iterate's objective and
     gradient are computed afresh from x, nothing is carried over.  An
     iterate after the first with s nonzeros, on a support not offered
     before, is offered to `pursuit_step_reference`; a pursuit step taken
-    ends the loop."""
+    ends the loop.  With repair the offer repairs a declined support, and
+    is keyed on the support plus which of its entries exceed 0.5, so it
+    is made again whenever either changes."""
     op, y = instance.op, instance.y
     x = np.array(x0, dtype=float)
     f_x = op.objective(x, y)
@@ -145,9 +153,10 @@ def descend_reference(instance, x0, project, max_iters, tau0,
     for k in range(max_iters):
         pursuit = None
         support = tuple(np.flatnonzero(x))
-        if k > 0 and len(support) == instance.s and support != offered:
-            offered = support
-            pursuit = pursuit_step_reference(x, f_x, instance)
+        key = (support, tuple(x[list(support)] > 0.5)) if repair else support
+        if k > 0 and len(support) == instance.s and key != offered:
+            offered = key
+            pursuit = pursuit_step_reference(x, f_x, instance, repair)
         if pursuit is not None:
             x_next, f_next, tau, t = pursuit
         else:

@@ -19,7 +19,7 @@ about 1.5 seconds on one x86 core.  `tests/panel_fingerprint.txt` holds
 its output for the current code, made with NumPy 2.4.6.  With --check
 the script prints, as a diff, the lines where this checkout's output
 differs from that file, and exits 1 if any does;
-`tests/test_panel_fingerprint.py` runs that check under pytest.
+`tests/test_fingerprints.py` runs that check under pytest.
 """
 
 import argparse

@@ -1,4 +1,5 @@
-"""Every benchmark panel answer matches its committed fingerprint."""
+"""Every benchmark panel answer and seeded grid trial matches its
+committed fingerprint: the same answers, reached with the same work."""
 
 import subprocess
 import sys
@@ -7,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SCRIPT = Path(__file__).with_name("panel_fingerprint.py")
-# the NumPy that made panel_fingerprint.txt; another release may round
+# the NumPy that made the fingerprint files; another release may round
 # differently, so its answers need not be bit-identical to these
 FINGERPRINT_NUMPY = "2.4.6"
 
@@ -16,7 +16,10 @@ FINGERPRINT_NUMPY = "2.4.6"
 @pytest.mark.skipif(np.__version__ != FINGERPRINT_NUMPY,
                     reason=f"fingerprints were made with numpy {FINGERPRINT_NUMPY}, "
                            f"this is {np.__version__}")
-def test_panel_answers_are_bit_identical():
-    done = subprocess.run([sys.executable, str(SCRIPT), "--check"],
+@pytest.mark.parametrize("script", ["panel_fingerprint.py",
+                                    "grid_fingerprint.py"])
+def test_fingerprint_matches(script):
+    done = subprocess.run([sys.executable, str(Path(__file__).with_name(script)),
+                           "--check"],
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr

@@ -384,6 +384,9 @@ class TestSerialization:
             lambda rec: rec.update(xi=10**400),             # noise past float range
             lambda rec: rec.update(y=[str(v) for v in rec["y"]]),  # string counts
             lambda rec: rec.update(y=[v == 1 for v in rec["y"]]),  # boolean counts
+            lambda rec: rec["y"].__setitem__(0, float("nan")),  # NaN count
+            lambda rec: rec["y"].__setitem__(0, float("inf")),  # infinite count
+            lambda rec: rec["y"].__setitem__(0, 1e308),     # count overflowing f
             lambda rec: rec.update(                         # string positions
                 true_positions=[str(v) for v in rec["true_positions"]]),
         ]

@@ -1,6 +1,7 @@
 """Hard-thresholding solver: line search, stopping, diagnostics, restarts."""
 
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -171,19 +172,19 @@ def _descend_cases():
         # start on 600 bins takes the FFT one
         wide = generate_instance(geom, 6, 600, 0.0, 11)
         s, n = inst.s, inst.n
-        box = (lambda z: project_sparse_box(z, s),
-               lambda z: project_sparse_box_two_scan(z, s))
-        stage = (lambda z: project_sparse_box(z, 4),
-                 lambda z: project_sparse_box_two_scan(z, 4))
-        simplex = (lambda z: project_capped_simplex(z, s),) * 2
+        box = (partial(project_sparse_box, s=s),
+               partial(project_sparse_box_two_scan, s=s))
+        stage = (partial(project_sparse_box, s=4),
+                 partial(project_sparse_box_two_scan, s=4))
+        simplex = (partial(project_capped_simplex, s=s),) * 2
         anchored = np.zeros(n)
         anchored[[0, int(np.flatnonzero(inst.y).max()) + 1]] = 1.0
         dense = _dense_start(n, s)
         binary = random_support_start(n, s, 2, 0)
         # the final descent of a start grown at (10,1000) ends at a pursuit step
         grown = generate_instance(geom, 10, 1000, 0.0, 90000)
-        grown_box = (lambda z: project_sparse_box(z, grown.s),
-                     lambda z: project_sparse_box_two_scan(z, grown.s))
+        grown_box = (partial(project_sparse_box, s=grown.s),
+                     partial(project_sparse_box_two_scan, s=grown.s))
         # delta = 10 rejects the first candidates of every step; the stage
         # case runs at a growth stage's scaled step and tolerance
         stage_solve = (solve[0], solver._GAMMA * solver._stage_scale(inst),
@@ -203,6 +204,21 @@ def _descend_cases():
             (f"{geom.value} box pursuit", grown, _grown_start(grown),
              *grown_box, solve, delta),
         ]
+    # `multi_start`'s final descents, which repair a declined offer, from
+    # grown starts whose first s-point offers are declined
+    for geom, (k, m), xi, inst_seed, seed in [
+            (Geometry.TURNPIKE, (20, 2000), 0.0, 90000, 1),
+            (Geometry.TURNPIKE, (10, 1000), 3e-5, 90005, 86),
+            (Geometry.BELTWAY, (10, 1000), 1e-5, 90002, 35)]:
+        declined = generate_instance(geom, k, m, xi, inst_seed)
+        start = _grown_start(declined, seed)
+        for kind, projections in (
+                ("box", (partial(project_sparse_box, s=k),
+                         partial(project_sparse_box_two_scan, s=k))),
+                ("simplex", (partial(project_capped_simplex, s=k),) * 2)):
+            cases.append((f"{geom.value} ({k},{m}) {kind} repair", declined,
+                          projections[0](start), *projections,
+                          (*solve, True), delta))
     return cases
 
 
@@ -248,6 +264,11 @@ class TestCarriedEvaluation:
             for kind in ("box", "simplex"):
                 bt = results[f"{geom.value} {kind} backtracks"].backtrack_trace
                 assert bt.sum() > 0
+        for label, result in results.items():
+            if label.endswith("box repair"):
+                # ended at a repaired offer, not by the step rule
+                assert result.stop_reason is StopReason.CONVERGED
+                assert result.final_step_norm > solver._EPSILON
 
 
 class TestStageStep:
@@ -315,44 +336,20 @@ class TestStageStep:
         assert res.iterations > 0
 
 
-def _spy_pursuit(monkeypatch):
-    """Record, per pursuit step offered, whether it was taken."""
-    taken = []
-    pursuit_step = solver._pursuit_step
-
-    def spied(*args, **kwargs):
-        step = pursuit_step(*args, **kwargs)
-        taken.append(step is not None)
-        return step
-
-    monkeypatch.setattr(solver, "_pursuit_step", spied)
-    return taken
-
-
-def _spy_accepted(monkeypatch):
-    """Record every `Step` that `armijo_step` accepts."""
-    accepted = []
-    step = solver.armijo_step
-
-    def spied(*args, **kwargs):
-        accepted.append(step(*args, **kwargs))
-        return accepted[-1]
-
-    monkeypatch.setattr(solver, "armijo_step", spied)
-    return accepted
-
-
-def _count_calls(monkeypatch, name):
-    """Count the calls of `solver.<name>`, in a one-element list."""
-    calls = [0]
+def _spy(monkeypatch, name):
+    """Record the result of every call of `solver.<name>`, in call order;
+    a call that raises leaves None."""
+    results = []
     original = getattr(solver, name)
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def spied(*args, **kwargs):
+        i = len(results)
+        results.append(None)
+        results[i] = original(*args, **kwargs)
+        return results[i]
 
-    monkeypatch.setattr(solver, name, counted)
-    return calls
+    monkeypatch.setattr(solver, name, spied)
+    return results
 
 
 class TestPursuitExit:
@@ -379,7 +376,7 @@ class TestPursuitExit:
     @pytest.mark.parametrize("geom", list(Geometry))
     def test_stage_descent_never_offers_it(self, geom, monkeypatch):
         """A growth stage projects onto s-1 points, so no iterate has s."""
-        taken = _spy_pursuit(monkeypatch)
+        offers = _spy(monkeypatch, "_pursuit_step")
         inst = generate_instance(geom, 10, 1000, 0.0, 90000)
         x0 = np.zeros(inst.n)
         x0[list(solver.anchor_bins(inst))] = 1.0
@@ -387,7 +384,7 @@ class TestPursuitExit:
                        SolverConfig().max_iters,
                        solver._GAMMA * solver._stage_scale(inst),
                        solver._STAGE_EPSILON)
-        assert taken == []
+        assert offers == []
         assert res.stop_reason is StopReason.CONVERGED
         assert res.final_step_norm <= solver._STAGE_EPSILON
 
@@ -396,30 +393,31 @@ class TestPursuitExit:
         the s-point support the descent reaches is offered and declined."""
         inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 2e-4, 90000)
         assert not np.array_equal(inst.op.forward(inst.true_indicator()), inst.y)
-        taken = _spy_pursuit(monkeypatch)
+        offers = _spy(monkeypatch, "_pursuit_step")
         res = multi_start(inst, SolverConfig(seed=1))
-        assert taken and not any(taken)
+        assert offers and all(step is None for step in offers)
         assert res.stop_reason is StopReason.CONVERGED
         assert res.final_step_norm <= solver._EPSILON
 
     def test_total_iterations_count_the_pursuit_step(self, monkeypatch):
-        taken = _spy_pursuit(monkeypatch)
-        steps = _count_calls(monkeypatch, "armijo_step")
+        offers = _spy(monkeypatch, "_pursuit_step")
+        steps = _spy(monkeypatch, "armijo_step")
         inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 90000)
         res = multi_start(inst, SolverConfig(seed=1))
-        assert sum(taken) == 1
-        assert res.total_iterations == steps[0] + 1
+        assert sum(step is not None for step in offers) == 1
+        assert res.total_iterations == len(steps) + 1
 
     def test_declined_offer_is_repaired_at_once(self, monkeypatch):
         """The start-0 final descent reaches a wrong 20-point support; the
         offer's repair rebuilds the answer from the rounded support and
         ends the descent there.  Finishing the descent first, as
         `iht_solve` does (next test), crawls on to epsilon."""
-        taken = _spy_pursuit(monkeypatch)
+        offers = _spy(monkeypatch, "_pursuit_step")
         inst = generate_instance(Geometry.TURNPIKE, 20, 2000, 0.0, 90000)
         res = multi_start(inst, SolverConfig(seed=1))
         assert res.start_index == 0 and res.starts_run == 1
-        assert res.iterations == 2 and taken == [True]
+        assert res.iterations == 2
+        assert len(offers) == 1 and offers[0] is not None
         assert res.stop_reason is StopReason.CONVERGED
         assert res.f_final == 0.0 and binary_misfit(inst, res.x_final) == 0
         assert res.stationarity_residual == 0.0
@@ -453,18 +451,19 @@ class TestPursuitExit:
         often its rounded support changes."""
         inst = generate_instance(Geometry.TURNPIKE, 20, 2000, 0.0, 90000)
         x0 = _grown_start(inst, seed=1)
-        taken = _spy_pursuit(monkeypatch)
-        accepted = _spy_accepted(monkeypatch)
-        repairs = _count_calls(monkeypatch, "_repair")
+        offers = _spy(monkeypatch, "_pursuit_step")
+        accepted = _spy(monkeypatch, "armijo_step")
+        repairs = _spy(monkeypatch, "_repair")
         res = iht_solve(inst, SolverConfig(seed=1), x0)
-        assert taken and not any(taken) and repairs[0] == 0
+        assert offers and all(step is None for step in offers)
+        assert repairs == []
         assert len(accepted) == res.iterations > 2
         # the last iterate is never offered
         offerable = [st for st in accepted[:-1] if st.support.size == inst.s]
         supports = {st.support.tobytes() for st in offerable}
         rounded = {(st.support.tobytes(), (st.x[st.support] > 0.5).tobytes())
                    for st in offerable}
-        assert len(taken) == len(supports) < len(rounded)
+        assert len(offers) == len(supports) < len(rounded)
         assert res.stop_reason is StopReason.CONVERGED
         assert res.final_step_norm <= solver._EPSILON
         assert binary_misfit(inst, res.x_final) > 0
@@ -695,11 +694,12 @@ class TestMultiStart:
         """Every start, growth stage and repair re-solve is counted, not
         only the winning start's last descent: each Armijo step and each
         pursuit step taken."""
-        steps = _count_calls(monkeypatch, "armijo_step")
-        taken = _spy_pursuit(monkeypatch)
+        steps = _spy(monkeypatch, "armijo_step")
+        offers = _spy(monkeypatch, "_pursuit_step")
         inst = generate_instance(Geometry.BELTWAY, 10, 1000, 0.0, 90009)
         res = multi_start(inst, SolverConfig(seed=154))
-        assert res.total_iterations == steps[0] + sum(taken) > res.iterations
+        taken = sum(step is not None for step in offers)
+        assert res.total_iterations == len(steps) + taken > res.iterations
         assert res.starts_run > 1
 
     def test_all_starts_failing_raises(self):
@@ -714,12 +714,12 @@ class TestMultiStart:
     def test_non_finite_y_raises_at_the_first_start(self, monkeypatch):
         """Every start lies in the unit box and shares y, so the first
         start's failure is every start's: no other start runs."""
-        calls = _count_calls(monkeypatch, "_guided_start")
+        calls = _spy(monkeypatch, "_guided_start")
         inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 1)
         bad = replace(inst, y=np.full(inst.n - 1, np.nan))
         with pytest.raises(NumericError):
             multi_start(bad, SolverConfig())
-        assert calls[0] == 1
+        assert len(calls) == 1
 
 
 def _indicator(n, bins):
