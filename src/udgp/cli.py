@@ -143,6 +143,7 @@ def cmd_solve(args) -> int:
     except ValueError as err:
         print(f"udgp solve: {err}", file=sys.stderr)
         return 2
+    open(args.out, "w").close()  # an unwritable --out fails before the solve
     rec = _solve_and_score(instance, config, args.method)
     record = {"method": args.method, "geometry": instance.geometry.value,
               "n": instance.n, "s": instance.s, "xi": instance.noise_sigma,

@@ -128,8 +128,12 @@ class LagOperator:
         The last two are what `gradient` at the same x can take as given.
         """
         x = self._check_x(x)
-        support = np.flatnonzero(x)
-        r = self._forward(x, support) - self._check_y(y)
+        return self._evaluate(x, np.flatnonzero(x), self._check_y(y))
+
+    def _evaluate(self, x, support, y):
+        """`evaluate` of a checked x whose support is known, against a
+        checked y."""
+        r = self._forward(x, support) - y
         return float(r @ r) / self.m, r, support
 
     def objective(self, x, y) -> float:

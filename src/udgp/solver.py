@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -143,7 +144,7 @@ class Step(NamedTuple):
     support: np.ndarray     # flatnonzero(x_next)
 
 
-def armijo_step(x, grad, f_x, instance, project, tau0) -> Step:
+def armijo_step(x, grad, f_x, instance, project, tau0, support=None) -> Step:
     """Smallest backtracking exponent passing the sufficient-decrease rule.
 
     Tries t = 0, 1, ..., `_MAX_BACKTRACKS`; for each, forms the candidate
@@ -156,16 +157,46 @@ def armijo_step(x, grad, f_x, instance, project, tau0) -> Step:
     accepted one's residual and support come back in the `Step`, so the
     caller's next `gradient` at x_next needs no forward pass.  Raises
     BacktrackExhausted if no exponent works.
+
+    When project is partial(project_sparse_box, s=sp) and support, x's
+    support S, holds sp bins, a try whose projection provably keeps S is
+    formed on S alone, with no n-length projection or scan.  With
+    z = x - tau * grad, S is kept when z_b, the largest z off S, is at
+    most 1, every z on S is positive, and the smallest gain on S (see
+    `project_sparse_box`) exceeds z_b's.  The projection is then min(z, 1)
+    on S and zero off it, and its residual is taken on S.  z_b is
+    -tau * (the least grad off S), found once per step.  Each value is
+    computed by the same floating-point operations as through
+    `project_sparse_box` and `evaluate`, so the Step is the same bit for
+    bit; a try that fails any test takes the general path.
     """
     op, y = instance.op, instance.y
+    kept = (support is not None
+            and getattr(project, "func", None) is project_sparse_box
+            and support.size == project.keywords.get("s") < x.size)
+    if kept:
+        x_s, g_s = x[support], grad[support]
+        off = grad.copy()
+        off[support] = np.inf
+        g_b = off.min()
     for t in range(_MAX_BACKTRACKS + 1):
         tau = tau0 * _ALPHA**t
-        x_next = project(x - tau * grad)
-        f_next, r, support = op.evaluate(x_next, y)
+        if kept:
+            z = x_s - tau * g_s
+            b = max(0.0 - tau * g_b, 0.0)  # z_b, or 0 when its gain is 0
+            clipped = np.minimum(z, 1.0)
+        if (kept and b <= 1.0 and z.min() > 0.0
+                and (z * z - (z - clipped) ** 2).min() > b * b):
+            x_next = np.zeros(x.size)
+            x_next[support] = clipped
+            f_next, r, s_next = op._evaluate(x_next, support, y)
+        else:
+            x_next = project(x - tau * grad)
+            f_next, r, s_next = op.evaluate(x_next, y)
         diff = x - x_next
         step_sq = float(diff @ diff)
         if f_x - f_next >= 0.5 * _DELTA * step_sq:
-            return Step(x_next, f_next, tau, t, step_sq, r, support)
+            return Step(x_next, f_next, tau, t, step_sq, r, s_next)
     raise BacktrackExhausted(
         f"no backtrack exponent t <= {_MAX_BACKTRACKS} gave sufficient decrease"
     )
@@ -217,8 +248,10 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon,
 
     x0 is evaluated once; after that each iterate's objective, residual
     and support come from the Armijo step that accepted it, so every
-    iteration costs one gradient, the projections and one evaluation per
-    candidate tried, and no iterate is evaluated twice.
+    iteration costs one gradient plus one projection and one evaluation
+    per candidate tried, and no iterate is evaluated twice.  The support
+    is handed to `armijo_step`, so on a sparse box a candidate that
+    keeps it is formed and evaluated on it alone.
 
     A non-finite f(x0) raises NumericError, the only finiteness check:
     later iterates lie in [0,1]^n, with lag counts of at most n, so f is
@@ -263,7 +296,8 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon,
         if not pursued:
             grad = op.gradient(x, y, r, support)
             try:
-                step = armijo_step(x, grad, f_x, instance, project, tau0)
+                step = armijo_step(x, grad, f_x, instance, project, tau0,
+                                   support)
             except BacktrackExhausted:
                 stop = StopReason.BACKTRACK_EXHAUSTED
                 break
@@ -297,7 +331,7 @@ def iht_solve(instance, config: SolverConfig, x0) -> SolveResult:
         raise ValueError("x0 must lie in the unit box")
     if np.count_nonzero(x0) > s:
         raise ValueError(f"x0 has more than s={s} nonzeros")
-    return _descend(instance, x0, lambda z: project_sparse_box(z, s),
+    return _descend(instance, x0, partial(project_sparse_box, s=s),
                     config.max_iters, _GAMMA, _EPSILON)
 
 
@@ -498,7 +532,7 @@ def _guided_start(instance, config: SolverConfig,
             cand = _entries(instance, x)[:_ENTRY_CHOICES]
             pick = int(_philox(config.seed, start, sp).integers(0, cand.size))
             x[cand[pick]] = 1.0
-        stage = _descend(instance, x, lambda z: project_sparse_box(z, sp),
+        stage = _descend(instance, x, partial(project_sparse_box, s=sp),
                          config.max_iters, tau0, _STAGE_EPSILON)
         x = stage.x_final
         stage_iterations += stage.iterations
@@ -579,7 +613,7 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
     """
     s = instance.s
     if method == "iht":
-        project = lambda z: project_sparse_box(z, s)
+        project = partial(project_sparse_box, s=s)
     elif method == "l1pgd":
         project = lambda z: project_capped_simplex(z, s)
     else:

@@ -1,4 +1,4 @@
-"""Print the per-call cost of the two gradient paths and of both projections.
+"""Print the per-call cost of the two gradient paths, both projections and one Armijo step.
 
 Run from the repository root:
 
@@ -37,6 +37,18 @@ bisection's time over the capped simplex's.  A row reads DIFFERS when
 the capped simplex returns an x or a multiplier other than the
 bisection's.
 
+The Armijo-step table: at turnpike and beltway (10,1000), turnpike
+(20,2000) and turnpike (30,4000) it grows start 0 of a noise-free
+instance with `_guided_start` and takes the first step of the IHT final
+descent, which births the s-th point.  From that s-point iterate it
+times one `armijo_step` on the s-sparse box at base step _GAMMA, handed
+the iterate's support (row column short_us: the step that keeps the
+support without an n-length projection) and not handed it (general_us:
+every try projected and evaluated over all n bins).  The column proj
+counts the projections the first of the two ran, 0 when the shortcut
+took every try, and speedup is general_us over short_us.  A row reads
+DIFFERS when the two calls return Steps that differ in any field.
+
 Like `tests/panel_fingerprint.py`, the script pins the BLAS and OpenMP
 pools to one thread and puts `src/` on the import path before NumPy
 loads.  It exits 1 if any row reads WORSE or DIFFERS.
@@ -51,6 +63,8 @@ from pathlib import Path
 
 GRADIENT_SIZES = [(10, 1000), (20, 2000), (30, 4000), (50, 8000), (80, 16000)]
 PROJECTION_SIZES = [(10, 1000), (20, 2000), (30, 4000)]
+ARMIJO_CELLS = [("turnpike", 10, 1000), ("beltway", 10, 1000),
+                ("turnpike", 20, 2000), ("turnpike", 30, 4000)]
 
 
 def median_us(fn, calls: int) -> float:
@@ -127,6 +141,56 @@ def projection_rows(calls: int):
                        f"{'ok' if same else 'DIFFERS'}")
 
 
+def armijo_rows(calls: int):
+    from functools import partial
+
+    import numpy as np
+    from udgp import Geometry, SolverConfig, generate_instance, solver
+
+    yield "geometry   s     n  k proj  short_us general_us speedup"
+    for geometry, s, n in ARMIJO_CELLS:
+        inst = generate_instance(Geometry(geometry), s, n, 0.0, 90000)
+        grown, _ = solver._guided_start(inst, SolverConfig(), 0)
+        x = solver._descend(inst, grown, partial(solver.project_sparse_box, s=s),
+                            1, solver._GAMMA, solver._EPSILON).x_final
+        f, r, support = inst.op.evaluate(x, inst.y)
+        grad = inst.op.gradient(x, inst.y, r, support)
+
+        def step(*kept):
+            # the partial is built per call, so that `projections` can
+            # swap the function armijo_step recognises
+            box = partial(solver.project_sparse_box, s=s)
+            return solver.armijo_step(x, grad, f, inst, box, solver._GAMMA,
+                                      *kept)
+
+        short = median_us(lambda: step(support), calls)
+        general = median_us(step, calls)
+        a, b = step(support), step()
+        same = (a.x.tobytes() == b.x.tobytes() and a.r.tobytes() == b.r.tobytes()
+                and a[1:5] == b[1:5] and np.array_equal(a.support, b.support))
+        yield (f"{geometry:8} {s:3d} {n:5d} {support.size:2d} "
+               f"{projections(solver, lambda: step(support)):4d} "
+               f"{short:9.1f} {general:10.1f} {general / short:6.2f}x "
+               f"{'ok' if same else 'DIFFERS'}")
+
+
+def projections(solver, fn) -> int:
+    """The sparse-box projections fn() runs through
+    `solver.project_sparse_box`, counted by patching that name."""
+    original, calls = solver.project_sparse_box, []
+
+    def counted(z, s):
+        calls.append(s)
+        return original(z, s)
+
+    solver.project_sparse_box = counted
+    try:
+        fn()
+    finally:
+        solver.project_sparse_box = original
+    return len(calls)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=200,
@@ -134,7 +198,7 @@ def main() -> int:
                              "(default 200)")
     args = parser.parse_args()
     bad = 0
-    for table in (gradient_rows, projection_rows):
+    for table in (gradient_rows, projection_rows, armijo_rows):
         for line in table(args.calls):
             print(line, flush=True)
             bad += line.endswith(("WORSE", "DIFFERS"))

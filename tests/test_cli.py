@@ -253,9 +253,18 @@ class TestSolve:
         assert run(["solve", "--in", str(instance_file),
                     "--out", str(tmp_path / "r.json")]) == 4
 
-    def test_out_in_missing_directory_exits_3(self, instance_file, tmp_path):
+    def test_out_in_missing_directory_exits_3(self, instance_file, tmp_path,
+                                              monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return multi_start(*args, **kwargs)
+
+        monkeypatch.setattr("udgp.cli.multi_start", counted)
         out = tmp_path / "missing" / "r.json"
         assert run(["solve", "--in", str(instance_file), "--out", str(out)]) == 3
+        assert calls == []
 
     def test_unknown_method_exits_2(self, instance_file, tmp_path):
         with pytest.raises(SystemExit) as err:

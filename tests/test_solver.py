@@ -6,9 +6,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import (check_l_stationarity_loop, descend_reference,
+from oracles import (armijo_step_reference, check_l_stationarity_loop,
+                     descend_reference,
                      project_sparse_box_two_scan, random_support_start)
-from udgp import (Geometry, NumericError, SolverConfig, StopReason,
+from udgp import (Geometry, LagOperator, NumericError, SolverConfig,
+                  StopReason,
                   armijo_step, binary_misfit, check_l_stationarity,
                   extract_positions, generate_instance, iht_solve,
                   l1pgd_solve, misfit_budget, multi_start,
@@ -112,6 +114,147 @@ class TestArmijoStep:
                 np.testing.assert_array_equal(step.r, r)
                 np.testing.assert_array_equal(step.support, support)
                 assert step.step_sq == float((x - step.x) @ (x - step.x))
+
+
+def _spy_tries(monkeypatch):
+    """Record each `solver.armijo_step` call as (eligible, shortcut tries,
+    general tries).  It is eligible when its projection is the sparse box
+    at the size of the support it is handed.  A shortcut try evaluates
+    its candidate through `LagOperator._evaluate` alone, a general one
+    through `LagOperator.evaluate`, which calls `_evaluate` in turn."""
+    steps = []
+    evals = [0, 0]  # calls of LagOperator._evaluate, of LagOperator.evaluate
+    inner, outer = LagOperator._evaluate, LagOperator.evaluate
+    step = solver.armijo_step
+
+    def counted_inner(self, *args):
+        evals[0] += 1
+        return inner(self, *args)
+
+    def counted_outer(self, *args):
+        evals[1] += 1
+        return outer(self, *args)
+
+    def recorded(x, grad, f_x, instance, project, tau0, support=None):
+        before = list(evals)
+        try:
+            return step(x, grad, f_x, instance, project, tau0, support)
+        finally:
+            general = evals[1] - before[1]
+            eligible = (getattr(project, "func", None) is project_sparse_box
+                        and support is not None
+                        and support.size == project.keywords["s"])
+            steps.append((eligible, evals[0] - before[0] - general, general))
+
+    monkeypatch.setattr(LagOperator, "_evaluate", counted_inner)
+    monkeypatch.setattr(LagOperator, "evaluate", counted_outer)
+    monkeypatch.setattr(solver, "armijo_step", recorded)
+    return steps
+
+
+def _assert_same_step(got, want):
+    assert got.x.tobytes() == want.x.tobytes()
+    assert (got.f, got.tau, got.t, got.step_sq) == (
+        want.f, want.tau, want.t, want.step_sq)
+    assert got.r.tobytes() == want.r.tobytes()
+    np.testing.assert_array_equal(got.support, want.support)
+
+
+class TestSupportKeptStep:
+    """On the sparse box at the size of x's support, `armijo_step` forms a
+    try that provably keeps that support on it alone; its Step is the one
+    the general path returns, bit for bit, and every try the shortcut
+    cannot prove falls back to the general path."""
+
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_matches_the_general_path_on_random_iterates(self, geom,
+                                                          monkeypatch):
+        steps = _spy_tries(monkeypatch)
+        rng = np.random.default_rng(7)
+        inst = generate_instance(geom, 10, 1000, 0.0, 90000)
+        op = inst.op
+        for sp in (inst.s, 6):  # the final descents' size, a growth stage's
+            project = partial(project_sparse_box, s=sp)
+            for _ in range(40):
+                x = np.zeros(inst.n)
+                bins = rng.choice(inst.n, sp, replace=False)
+                x[bins] = np.where(rng.random(sp) < 0.5, 1.0,
+                                   rng.uniform(0.05, 1.0, sp))
+                f_x, r, support = op.evaluate(x, inst.y)
+                grad = op.gradient(x, inst.y, r, support)
+                tau0 = 10.0 ** rng.uniform(-2.0, 2.0)
+                got = solver.armijo_step(x, grad, f_x, inst, project, tau0,
+                                         support)
+                want = solver.armijo_step(x, grad, f_x, inst, project, tau0)
+                _assert_same_step(got, want)
+        with_support = steps[::2]
+        assert all(eligible for eligible, *_ in with_support)
+        # both paths ran; without the support, only the general one
+        assert sum(short for _, short, _ in with_support) > 0
+        assert sum(general for *_, general in with_support) > 0
+        assert all(short == 0 for _, short, _ in steps[1::2])
+
+    @staticmethod
+    def _edge(kind):
+        """(x, grad, tau0) on 20 bins with support {5, 10, 15}: a try at
+        tau0 the shortcut must decline."""
+        x, grad = np.zeros(20), np.zeros(20)
+        x[[5, 10, 15]] = [0.5, 1.0, 1.0]
+        if kind == "entrant ties the least support gain":
+            grad[2] = -0.5  # z = 0.5 at bin 2 and at bin 5: bin 2 wins
+        elif kind == "entrant above 1":
+            grad[[5, 10, 15]] = -2.0  # S's gains (4 and 5) beat z_b's 2
+            grad[7] = -1.5
+        elif kind == "support entry at 0":
+            grad[5] = 0.5
+        elif kind == "support entry below 0":
+            grad[5] = 0.7
+            grad[3] = -0.1
+        return x, grad, 1.0
+
+    @pytest.mark.parametrize("kind", ["entrant ties the least support gain",
+                                      "entrant above 1", "support entry at 0",
+                                      "support entry below 0"])
+    def test_declined_tries_fall_back(self, kind, monkeypatch):
+        steps = _spy_tries(monkeypatch)
+        inst = small_instance(s=3, n=20)
+        x, grad, tau0 = self._edge(kind)
+        support = np.flatnonzero(x)
+        project = partial(project_sparse_box, s=3)
+        f_x = 1e6  # the decrease rule accepts t = 0
+        got = solver.armijo_step(x, grad, f_x, inst, project, tau0, support)
+        assert steps[0] == (True, 0, 1)
+        _assert_same_step(got, solver.armijo_step(x, grad, f_x, inst, project,
+                                                  tau0))
+        x_ref, f_ref, tau, t = armijo_step_reference(
+            x, grad, f_x, inst, partial(project_sparse_box_two_scan, s=3),
+            tau0)
+        assert got.x.tobytes() == x_ref.tobytes()
+        assert (got.f, got.tau, got.t) == (f_ref, tau, t) == (got.f, 1.0, 0)
+        if kind == "entrant ties the least support gain":
+            np.testing.assert_array_equal(got.support, [2, 10, 15])
+
+    def test_backtracked_step_mixes_both_paths(self, monkeypatch):
+        """A step whose first tries let an entrant in, and fail the
+        decrease rule, takes the shortcut once the step is short enough
+        to keep the support."""
+        monkeypatch.setattr(solver, "_DELTA", 10.0)
+        steps = _spy_tries(monkeypatch)
+        inst = small_instance(s=5, n=60, seed=2)
+        x = random_support_start(inst.n, inst.s, 3, 0)
+        f_x, r, support = inst.op.evaluate(x, inst.y)
+        grad = inst.op.gradient(x, inst.y, r, support)
+        project = partial(project_sparse_box, s=inst.s)
+        got = solver.armijo_step(x, grad, f_x, inst, project, 8.0, support)
+        eligible, short, general = steps[0]
+        assert eligible and short > 0 and general > 0 and got.t > 0
+        _assert_same_step(got, solver.armijo_step(x, grad, f_x, inst, project,
+                                                  8.0))
+        x_ref, f_ref, tau, t = armijo_step_reference(
+            x, grad, f_x, inst, partial(project_sparse_box_two_scan,
+                                        s=inst.s), 8.0)
+        assert got.x.tobytes() == x_ref.tobytes()
+        assert (got.f, got.tau, got.t) == (f_ref, tau, t)
 
 
 def _dense_start(n, s):
@@ -242,10 +385,24 @@ class TestCarriedEvaluation:
 
     def test_cases_cover_both_paths_cuts_and_backtracks(self, monkeypatch):
         cases = _descend_cases()
-        results = {}
+        results, shortcut, fallback = {}, {}, {}
         for label, inst, x0, project, _, args, delta in cases:
             monkeypatch.setattr(solver, "_DELTA", delta)
+            steps = _spy_tries(monkeypatch)
             results[label] = _descend(inst, x0, project, *args)
+            monkeypatch.undo()
+            shortcut[label] = sum(short for _, short, _ in steps)
+            fallback[label] = sum(1 for eligible, _, general in steps
+                                  if eligible and general)
+        # box descents take support-kept tries, at s and at a stage's
+        # sparsity and when they backtrack; the capped simplex never does
+        for geom in Geometry:
+            for kind in ("box", "box backtracks", "stage sp=4"):
+                assert shortcut[f"{geom.value} {kind}"] > 0
+        assert all(shortcut[label] == 0 for label in results
+                   if "simplex" in label)
+        # an entrant that displaces the support makes a step fall back
+        assert fallback["beltway box"] > 0
         for label, inst, x0, *_ in cases:
             if label.endswith("simplex dense"):
                 # starts on the FFT paths and ends on the pair forward map
