@@ -1,4 +1,4 @@
-"""Print the per-call cost of the two gradient paths, both projections and one Armijo step.
+"""Print the per-call cost of the gradient paths, projections and Armijo step.
 
 Run from the repository root:
 
@@ -42,9 +42,9 @@ The Armijo-step table: at turnpike and beltway (10,1000), turnpike
 instance with `_guided_start` and takes the first step of the IHT final
 descent, which births the s-th point.  From that s-point iterate it
 times one `armijo_step` on the s-sparse box at base step _GAMMA, handed
-the iterate's support (row column short_us: the step that keeps the
-support without an n-length projection) and not handed it (general_us:
-every try projected and evaluated over all n bins).  The column proj
+the iterate's support (column short_us: a step that keeps the support
+runs no n-length projection) and not handed it (general_us: every try
+is projected and evaluated over all n bins).  The column proj
 counts the projections the first of the two ran, 0 when the shortcut
 took every try, and speedup is general_us over short_us.  A row reads
 DIFFERS when the two calls return Steps that differ in any field.
@@ -167,7 +167,8 @@ def armijo_rows(calls: int):
         general = median_us(step, calls)
         a, b = step(support), step()
         same = (a.x.tobytes() == b.x.tobytes() and a.r.tobytes() == b.r.tobytes()
-                and a[1:5] == b[1:5] and np.array_equal(a.support, b.support))
+                and (a.f, a.tau, a.t, a.step_sq) == (b.f, b.tau, b.t, b.step_sq)
+                and np.array_equal(a.support, b.support))
         yield (f"{geometry:8} {s:3d} {n:5d} {support.size:2d} "
                f"{projections(solver, lambda: step(support)):4d} "
                f"{short:9.1f} {general:10.1f} {general / short:6.2f}x "

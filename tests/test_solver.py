@@ -194,44 +194,35 @@ class TestSupportKeptStep:
         assert sum(general for *_, general in with_support) > 0
         assert all(short == 0 for _, short, _ in steps[1::2])
 
-    @staticmethod
-    def _edge(kind):
-        """(x, grad, tau0) on 20 bins with support {5, 10, 15}: a try at
-        tau0 the shortcut must decline."""
-        x, grad = np.zeros(20), np.zeros(20)
-        x[[5, 10, 15]] = [0.5, 1.0, 1.0]
-        if kind == "entrant ties the least support gain":
-            grad[2] = -0.5  # z = 0.5 at bin 2 and at bin 5: bin 2 wins
-        elif kind == "entrant above 1":
-            grad[[5, 10, 15]] = -2.0  # S's gains (4 and 5) beat z_b's 2
-            grad[7] = -1.5
-        elif kind == "support entry at 0":
-            grad[5] = 0.5
-        elif kind == "support entry below 0":
-            grad[5] = 0.7
-            grad[3] = -0.1
-        return x, grad, 1.0
-
-    @pytest.mark.parametrize("kind", ["entrant ties the least support gain",
-                                      "entrant above 1", "support entry at 0",
-                                      "support entry below 0"])
-    def test_declined_tries_fall_back(self, kind, monkeypatch):
+    @pytest.mark.parametrize("grad_at", [
+        pytest.param({2: -0.5}, id="entrant ties the least support gain"),
+        pytest.param({5: -2.0, 10: -2.0, 15: -2.0, 7: -1.5},
+                     id="entrant above 1"),
+        pytest.param({5: 0.5}, id="support entry at 0"),
+        pytest.param({5: 0.7, 3: -0.1}, id="support entry below 0")])
+    def test_declined_tries_fall_back(self, grad_at, monkeypatch):
+        """At tau = 1 from x = (0.5, 1, 1) on bins 5, 10 and 15: an entrant
+        at 0.5 on bin 2 ties bin 5's gain and wins on its lower index; an
+        entrant at 1.5 cannot displace S (gains 4 and 5 beat its 2) but
+        is above 1; or bin 5 is driven to 0 or below it."""
         steps = _spy_tries(monkeypatch)
         inst = small_instance(s=3, n=20)
-        x, grad, tau0 = self._edge(kind)
+        x, grad = np.zeros(20), np.zeros(20)
+        x[[5, 10, 15]] = [0.5, 1.0, 1.0]
+        grad[list(grad_at)] = list(grad_at.values())
         support = np.flatnonzero(x)
         project = partial(project_sparse_box, s=3)
         f_x = 1e6  # the decrease rule accepts t = 0
-        got = solver.armijo_step(x, grad, f_x, inst, project, tau0, support)
+        got = solver.armijo_step(x, grad, f_x, inst, project, 1.0, support)
         assert steps[0] == (True, 0, 1)
         _assert_same_step(got, solver.armijo_step(x, grad, f_x, inst, project,
-                                                  tau0))
+                                                  1.0))
         x_ref, f_ref, tau, t = armijo_step_reference(
-            x, grad, f_x, inst, partial(project_sparse_box_two_scan, s=3),
-            tau0)
+            x, grad, f_x, inst, partial(project_sparse_box_two_scan, s=3), 1.0)
         assert got.x.tobytes() == x_ref.tobytes()
-        assert (got.f, got.tau, got.t) == (f_ref, tau, t) == (got.f, 1.0, 0)
-        if kind == "entrant ties the least support gain":
+        assert (got.f, got.tau, got.t) == (f_ref, tau, t)
+        assert t == 0
+        if 2 in grad_at:
             np.testing.assert_array_equal(got.support, [2, 10, 15])
 
     def test_backtracked_step_mixes_both_paths(self, monkeypatch):
