@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -144,6 +145,7 @@ def cmd_solve(args) -> int:
         print(f"udgp solve: {err}", file=sys.stderr)
         return 2
     open(args.out, "w").close()  # an unwritable --out fails before the solve
+    args.created = (args.out,)  # which `main` removes if the solve fails
     rec = _solve_and_score(instance, config, args.method)
     record = {"method": args.method, "geometry": instance.geometry.value,
               "n": instance.n, "s": instance.s, "xi": instance.noise_sigma,
@@ -219,8 +221,10 @@ def cmd_bench(args) -> int:
     except ValueError as err:
         print(f"udgp bench: {err}", file=sys.stderr)
         return 2
-    # an unwritable --out fails here, not after the whole grid is solved
-    for path in (args.out, args.out + ".trials.csv"):
+    # an unwritable --out fails here, not after the whole grid is solved;
+    # `main` removes both files if a solve fails
+    args.created = (args.out, args.out + ".trials.csv")
+    for path in args.created:
         open(path, "w").close()
 
     trial_rows = []
@@ -291,6 +295,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except NumericError as err:
         print(f"udgp: numeric failure: {err}", file=sys.stderr)
+        for path in getattr(args, "created", ()):
+            os.remove(path)  # leave no empty output behind
         return 4
     except OSError as err:
         print(f"udgp: i/o failure: {err}", file=sys.stderr)

@@ -23,12 +23,19 @@ pair and window paths, and so do the late iterates of the l1 baseline,
 whose mass concentrates on a few dozen bins.  Those two paths are exact
 on binary x with integer y, and every path agrees to 1e-10 absolute with
 the direct per-lag reference loops in `tests/oracles.py`.
+
+Most descent steps keep their support, so an operator keeps the `_Plan`
+of the last support it served, and each thread one lag row for the window
+gradient.  A plan is replaced whole and never changed, so threads may
+share an operator.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,6 +48,12 @@ import numpy as np
 _WINDOW_PER_FFT = 4.0
 _WINDOW_PER_CALL = 1 << 16
 _BLOCK_ENTRIES = 1 << 17
+
+# Index data of one ascending support S: its bytes, the window gradient's row
+# starts, the mask of bins off S and, if the forward map enumerates S's pairs,
+# each pair's two bins and bincount bin lag - 1 (and n - lag - 1 on a circle).
+_Plan = collections.namedtuple("_Plan", "key starts off pairs")
+_workspace = threading.local()  # per thread: the window lag row at the last n
 
 
 class Geometry(Enum):
@@ -183,35 +196,55 @@ class LagOperator:
     def _forward_sparse(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
         if support.size < 2:  # no pairs: bincount of no lags would be int64
             return np.zeros(self.m)
-        v = x[support]
-        i, j = _pair_indices(support.size)
-        lags = support[j] - support[i]  # support ascending, so lags >= 1
-        w = v[i] * v[j]
-        if self.circular:
-            lags = np.concatenate([lags, self.n - lags])
-            w = np.concatenate([w, w])
-        return np.bincount(lags - 1, weights=w, minlength=self.m)
+        first, second, bins = self._plan(support).pairs
+        return np.bincount(bins, weights=x[first] * x[second], minlength=self.m)
 
     def _gradient_window(self, x: np.ndarray, support: np.ndarray,
                          r: np.ndarray) -> np.ndarray:
         # g_u = (2/m) * sum_{v in S} x_v * c(u - v): c is r at lag |u - v| on
         # the segment, r_d + r_{n-d} at d = (u - v) mod n on the circle
         n = self.n
-        if self.circular:
-            c = np.concatenate(([0.0], r + r[::-1]))
-            c = np.concatenate((c, c))
-            starts = n - support
-        else:
-            c = np.concatenate((r[::-1], [0.0], r))
-            starts = (n - 1) - support
-        # read-only view with row j = c[j:j+n]; np.ndarray checks its bounds
-        # and costs less per call than as_strided
-        c.flags.writeable = False
-        rows = np.ndarray((c.size - n + 1, n), buffer=c, strides=c.strides * 2)
+        c, rows = getattr(_workspace, "lag", (None, None))
+        if c is None or c.size != 2 * n:  # this thread's first call at this n
+            # read-only view with row j = c[j:j+n]; np.ndarray checks its
+            # bounds and costs less per call than as_strided
+            c = np.zeros(2 * n)
+            rows = np.ndarray((n + 1, n), buffer=c, strides=c.strides * 2)
+            rows.flags.writeable = False
+            _workspace.lag = c, rows
+        if self.circular:  # c = [0, r + r[::-1]] twice
+            c[0] = 0.0
+            np.add(r, r[::-1], out=c[1:n])
+            c[n:] = c[:n]
+        else:  # c = [r[::-1], 0, r], and rows end at row n - 1
+            c[:n - 1] = r[::-1]
+            c[n - 1] = 0.0
+            c[n:2 * n - 1] = r
         # gather in blocks of 1 MB, which stay in cache and bound the copy
+        starts = self._plan(support).starts
         xs, block = x[support], max(1, _BLOCK_ENTRIES // n)
         g = xs[:block] @ rows[starts[:block]]
         for i in range(block, support.size, block):
             g += xs[i:i + block] @ rows[starts[i:i + block]]
         g *= 2.0 / self.m
         return g
+
+    def _plan(self, support: np.ndarray) -> _Plan:
+        """The `_Plan` of an ascending support, kept until another is asked."""
+        plan = self.__dict__.get("_plan_memo")
+        if plan is not None and plan.key == support.tobytes():
+            return plan
+        off, pairs = np.ones(self.n, dtype=bool), None
+        off[support] = False
+        if self._pairs(support):
+            i, j = _pair_indices(support.size)
+            first, second = support[i], support[j]
+            bins = second - first - 1  # support ascending, so lags >= 1
+            if self.circular:
+                bins = np.concatenate([bins, self.n - 2 - bins])
+                first, second = np.tile(first, 2), np.tile(second, 2)
+            pairs = first, second, bins
+        plan = _Plan(support.tobytes(), (self.n - (not self.circular)) - support,
+                     off, pairs)
+        self.__dict__["_plan_memo"] = plan  # as cached_property sets it
+        return plan

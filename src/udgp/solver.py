@@ -168,7 +168,9 @@ def armijo_step(x, grad, f_x, instance, project, tau0, support=None) -> Step:
     -tau * (the least grad off S), found once per step.  Each value is
     computed by the same floating-point operations as through
     `project_sparse_box` and `evaluate`, so the Step is the same bit for
-    bit; a try that fails any test takes the general path.
+    bit; a try that fails any test takes the general path.  The mask of
+    bins off S comes from the operator's plan of S (`LagOperator._plan`),
+    which the gradient at x and the kept tries' evaluations share.
     """
     op, y = instance.op, instance.y
     kept = (support is not None
@@ -176,9 +178,8 @@ def armijo_step(x, grad, f_x, instance, project, tau0, support=None) -> Step:
             and support.size == project.keywords.get("s") < x.size)
     if kept:
         x_s, g_s = x[support], grad[support]
-        off = grad.copy()
-        off[support] = np.inf
-        g_b = off.min()
+        g_b = np.minimum.reduce(grad, where=op._plan(support).off,
+                                initial=np.inf)
     for t in range(_MAX_BACKTRACKS + 1):
         tau = tau0 * _ALPHA**t
         if kept:
@@ -202,13 +203,19 @@ def armijo_step(x, grad, f_x, instance, project, tau0, support=None) -> Step:
     )
 
 
-def _fixed_point_residual(x, tau, instance, project, r=None, support=None) -> float:
-    """||x - project(x - tau * grad f(x))||, zero at a fixed point.
-
-    r and support, if given, are x's residual and support (see
-    `LagOperator.gradient`)."""
-    g = instance.op.gradient(x, instance.y, r, support)
+def _fixed_point_residual(x, tau, instance, project) -> float:
+    """||x - project(x - tau * grad f(x))||, zero at a fixed point."""
+    g = instance.op.gradient(x, instance.y)
     return float(np.linalg.norm(x - project(x - tau * g)))
+
+
+def _settled(result, instance, project) -> SolveResult:
+    """result with its answer's fixed-point residual at its last step size
+    (`_GAMMA` if it took none), which only returned results pay for."""
+    tau = float(result.step_size_trace[-1]) if result.iterations else _GAMMA
+    result.stationarity_residual = _fixed_point_residual(
+        result.x_final, tau, instance, project)
+    return result
 
 
 def _pursuit_step(x, f_x, support, instance, repair) -> Step | None:
@@ -272,7 +279,8 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon,
     pursuit step to the iterate's own support.
     `project`'s set must hold that indicator whenever an iterate has s
     points: both solvers' sets do, and growth stages, projecting onto
-    fewer than s points, never offer it.
+    fewer than s points, never offer it.  The stationarity residual is
+    left nan for the caller that returns the result (`_settled`).
     """
     op, y = instance.op, instance.y
     x = np.array(x0, dtype=float)
@@ -281,7 +289,6 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon,
         raise NumericError(f"objective is non-finite ({f_x}) at the start", x)
     obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
-    last_tau = tau0
     offered = None  # offer key (see docstring) of the last iterate offered
     for k in range(max_iters):
         step = None
@@ -306,18 +313,16 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon,
         tau_trace.append(step.tau)
         bt_trace.append(step.t)
         step_trace.append(math.sqrt(step.step_sq))
-        last_tau = step.tau
         if pursued or step_trace[-1] <= epsilon:
             stop = StopReason.CONVERGED
             break
-    resid = _fixed_point_residual(x, last_tau, instance, project, r, support)
     return SolveResult(
         x_final=x,
         objective_trace=np.asarray(obj_trace),
         step_size_trace=np.asarray(tau_trace),
         backtrack_trace=np.asarray(bt_trace, dtype=int),
         step_norm_trace=np.asarray(step_trace),
-        stationarity_residual=resid,
+        stationarity_residual=math.nan,
         stop_reason=stop,
         total_iterations=len(tau_trace),
     )
@@ -331,8 +336,9 @@ def iht_solve(instance, config: SolverConfig, x0) -> SolveResult:
         raise ValueError("x0 must lie in the unit box")
     if np.count_nonzero(x0) > s:
         raise ValueError(f"x0 has more than s={s} nonzeros")
-    return _descend(instance, x0, partial(project_sparse_box, s=s),
-                    config.max_iters, _GAMMA, _EPSILON)
+    project = partial(project_sparse_box, s=s)
+    return _settled(_descend(instance, x0, project, config.max_iters, _GAMMA,
+                             _EPSILON), instance, project)
 
 
 def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
@@ -348,8 +354,8 @@ def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     project = lambda z: project_capped_simplex(z, s)
-    return _descend(instance, project(x0), project, config.max_iters, _GAMMA,
-                    _EPSILON)
+    return _settled(_descend(instance, project(x0), project, config.max_iters,
+                             _GAMMA, _EPSILON), instance, project)
 
 
 def stationarity_residual(x, tau: float, instance) -> float:
@@ -642,4 +648,4 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
             break
     best.starts_run = start + 1
     best.total_iterations = total_iterations
-    return best
+    return _settled(best, instance, project)

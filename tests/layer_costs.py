@@ -46,8 +46,12 @@ the iterate's support (column short_us: a step that keeps the support
 runs no n-length projection) and not handed it (general_us: every try
 is projected and evaluated over all n bins).  The column proj
 counts the projections the first of the two ran, 0 when the shortcut
-took every try, and speedup is general_us over short_us.  A row reads
-DIFFERS when the two calls return Steps that differ in any field.
+took every try, and speedup is general_us over short_us.  forward_us
+times the pair forward map at the iterate, and iter_us one whole
+support-kept iteration as `_descend` runs it: the gradient from the
+carried residual, then the step handed the support.  Each call after
+the first finds the support's `_plan` kept.  A row reads DIFFERS when
+the two calls return Steps that differ in any field.
 
 Like `tests/panel_fingerprint.py`, the script pins the BLAS and OpenMP
 pools to one thread and puts `src/` on the import path before NumPy
@@ -147,7 +151,8 @@ def armijo_rows(calls: int):
     import numpy as np
     from udgp import Geometry, SolverConfig, generate_instance, solver
 
-    yield "geometry   s     n  k proj  short_us general_us speedup"
+    yield ("geometry   s     n  k proj  short_us general_us speedup "
+           "forward_us   iter_us")
     for geometry, s, n in ARMIJO_CELLS:
         inst = generate_instance(Geometry(geometry), s, n, 0.0, 90000)
         grown, _ = solver._guided_start(inst, SolverConfig(), 0)
@@ -156,15 +161,21 @@ def armijo_rows(calls: int):
         f, r, support = inst.op.evaluate(x, inst.y)
         grad = inst.op.gradient(x, inst.y, r, support)
 
-        def step(*kept):
+        def step(*kept, g=grad):
             # the partial is built per call, so that `projections` can
             # swap the function armijo_step recognises
             box = partial(solver.project_sparse_box, s=s)
-            return solver.armijo_step(x, grad, f, inst, box, solver._GAMMA,
+            return solver.armijo_step(x, g, f, inst, box, solver._GAMMA,
                                       *kept)
+
+        def iteration():
+            # one support-kept iteration, as `_descend` runs it
+            return step(support, g=inst.op.gradient(x, inst.y, r, support))
 
         short = median_us(lambda: step(support), calls)
         general = median_us(step, calls)
+        forward = median_us(lambda: inst.op._forward(x, support), calls)
+        whole = median_us(iteration, calls)
         a, b = step(support), step()
         same = (a.x.tobytes() == b.x.tobytes() and a.r.tobytes() == b.r.tobytes()
                 and (a.f, a.tau, a.t, a.step_sq) == (b.f, b.tau, b.t, b.step_sq)
@@ -172,6 +183,7 @@ def armijo_rows(calls: int):
         yield (f"{geometry:8} {s:3d} {n:5d} {support.size:2d} "
                f"{projections(solver, lambda: step(support)):4d} "
                f"{short:9.1f} {general:10.1f} {general / short:6.2f}x "
+               f"{forward:10.1f} {whole:9.1f} "
                f"{'ok' if same else 'DIFFERS'}")
 
 

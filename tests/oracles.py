@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 Each is the plain form of a computation the library does a faster way:
-the lag model's forward map and gradient, the sparse-box projection's
+the lag model's forward map and gradient, per lag and by the pair and
+window kernels rebuilt on every call, the sparse-box projection's
 two-scan tie rule, the capped-simplex bisection over all 2n breakpoints,
 the projected-gradient loop that evaluates every iterate afresh, under
 either offer rule of its pursuit step (the support's own indicator, or
@@ -47,6 +48,40 @@ def gradient_direct(op: LagOperator, x, y) -> np.ndarray:
         else:
             g[:n - i] += r[i - 1] * x[i:]
             g[i:] += r[i - 1] * x[:n - i]
+    g *= 2.0 / op.m
+    return g
+
+
+def forward_pairs_fresh(op: LagOperator, x) -> np.ndarray:
+    """Reference pair-enumeration forward map: the pair lags are built
+    from x's support on every call, and summed in the order
+    `LagOperator._forward_sparse` sums them, so the two agree bit for
+    bit."""
+    support = np.flatnonzero(x)
+    if support.size < 2:
+        return np.zeros(op.m)
+    v = x[support]
+    i, j = np.triu_indices(support.size, 1)
+    lags = support[j] - support[i]
+    w = v[i] * v[j]
+    if op.circular:
+        lags = np.concatenate([lags, op.n - lags])
+        w = np.concatenate([w, w])
+    return np.bincount(lags - 1, weights=w, minlength=op.m)
+
+
+def gradient_window_fresh(op: LagOperator, x, r) -> np.ndarray:
+    """Reference window gradient for supports within one gather block:
+    the lag row, its windows and their starts are built on every call,
+    and reach the same GEMV as in `LagOperator._gradient_window`."""
+    n, support = op.n, np.flatnonzero(x)
+    if op.circular:
+        c = np.concatenate(([0.0], r + r[::-1]))
+        c, starts = np.concatenate((c, c)), n - support
+    else:
+        c, starts = np.concatenate((r[::-1], [0.0], r)), (n - 1) - support
+    rows = np.lib.stride_tricks.sliding_window_view(c, n)
+    g = x[support] @ rows[starts]
     g *= 2.0 / op.m
     return g
 
@@ -142,13 +177,13 @@ def descend_reference(instance, x0, project, max_iters, tau0, epsilon,
     before, is offered to `pursuit_step_reference`; a pursuit step taken
     ends the loop.  With repair the offer repairs a declined support, and
     is keyed on the support plus which of its entries exceed 0.5, so it
-    is made again whenever either changes."""
+    is made again whenever either changes.  Like `_descend`, it leaves
+    the stationarity residual nan (see `residual_reference`)."""
     op, y = instance.op, instance.y
     x = np.array(x0, dtype=float)
     f_x = op.objective(x, y)
     obj_trace, tau_trace, bt_trace, step_trace = [f_x], [], [], []
     stop = StopReason.MAX_ITERS
-    last_tau = tau0
     offered = None
     for k in range(max_iters):
         pursuit = None
@@ -174,21 +209,27 @@ def descend_reference(instance, x0, project, max_iters, tau0, epsilon,
         tau_trace.append(tau)
         bt_trace.append(t)
         step_trace.append(final_step)
-        last_tau = tau
         if pursuit is not None or final_step <= epsilon:
             stop = StopReason.CONVERGED
             break
-    g = op.gradient(x, y)
-    resid = float(np.linalg.norm(x - project(x - last_tau * g)))
     return SolveResult(
         x_final=x,
         objective_trace=np.asarray(obj_trace),
         step_size_trace=np.asarray(tau_trace),
         backtrack_trace=np.asarray(bt_trace, dtype=int),
         step_norm_trace=np.asarray(step_trace),
-        stationarity_residual=resid,
+        stationarity_residual=math.nan,
         stop_reason=stop,
     )
+
+
+def residual_reference(instance, result, project, tau0) -> float:
+    """||x - project(x - tau * grad f(x))|| at result's answer x and last
+    step size tau (tau0 if it took no step), from a fresh gradient."""
+    x = result.x_final
+    tau = result.step_size_trace[-1] if result.iterations else tau0
+    g = instance.op.gradient(x, instance.y)
+    return float(np.linalg.norm(x - project(x - tau * g)))
 
 
 def check_l_stationarity_loop(x, instance, tol: float = 1e-6) -> StationarityReport:

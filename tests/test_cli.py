@@ -252,6 +252,10 @@ class TestSolve:
         monkeypatch.setattr("udgp.cli.multi_start", fail)
         assert run(["solve", "--in", str(instance_file),
                     "--out", str(tmp_path / "r.json")]) == 4
+        # the outputs created before the solve are removed, not left empty
+        assert run(["bench", "--geometry", "turnpike", "--s", "4", "--n", "40",
+                    "--trials", "1", "--out", str(tmp_path / "b.csv")]) == 4
+        assert list(tmp_path.iterdir()) == [instance_file]
 
     def test_out_in_missing_directory_exits_3(self, instance_file, tmp_path,
                                               monkeypatch):

@@ -1,10 +1,17 @@
 """Forward map, objective, and gradient against independent oracles."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from oracles import forward_direct, gradient_direct
-from udgp import Geometry, LagOperator
+from oracles import (forward_direct, forward_pairs_fresh, gradient_direct,
+                     gradient_window_fresh)
+from udgp import (Geometry, LagOperator, SolverConfig, generate_instance,
+                  multi_start)
 from udgp.cli import BENCH_SCALES
 
 
@@ -256,6 +263,92 @@ class TestGradient:
         op = LagOperator(5, Geometry.BELTWAY)
         with pytest.raises(ValueError):
             op.gradient(np.zeros(5), np.zeros(5))
+
+
+class TestSupportPlan:
+    """`LagOperator` keeps the index data of the last support it served
+    (`_plan`), and each thread its own lag row for the window gradient;
+    every result equals the kernels that rebuild both on every call, bit
+    for bit."""
+
+    @staticmethod
+    def _assert_plan_free(op, x, y):
+        h = forward_pairs_fresh(op, x)
+        g = gradient_window_fresh(op, x, h - y)
+        f, r, support = op.evaluate(x, y)
+        assert op.forward(x).tobytes() == h.tobytes()
+        assert r.tobytes() == (h - y).tobytes()
+        assert f == float((h - y) @ (h - y)) / op.m
+        assert op.gradient(x, y).tobytes() == g.tobytes()
+        assert op.gradient(x, y, r, support).tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_supports_in_turn_match_the_plan_free_kernels(self, geom):
+        """Same-size supports in alternation, supports one bin apart, and
+        supports of 0, 1 and 2 points, each with binary and fractional
+        entries: a plan kept for the wrong support would change them.
+        Before each, the other geometry's gradient at the same n writes the
+        thread's lag row, whose fixed zero each geometry puts elsewhere."""
+        n = 1000
+        op = LagOperator(n, geom)
+        other = LagOperator(n, next(g for g in Geometry if g is not geom))
+        rng = np.random.default_rng(27)
+        y = rng.integers(0, 3, op.m).astype(float)
+        a, b = (np.sort(rng.choice(n, 10, replace=False)) for _ in range(2))
+        moved = a.copy()
+        moved[4] = a[4] + 1 if a[4] + 1 not in a else a[4] - 1
+        moved.sort()
+        for bins in (a, b, a, b, moved, a, moved, [], [5], [5, 900], [5],
+                     [], a):
+            for binary in (True, False):
+                x = np.zeros(n)
+                x[bins] = 1.0 if binary else rng.random(len(bins)) + 0.01
+                assert op._pairs(np.flatnonzero(x))
+                assert op._windows(np.flatnonzero(x))
+                other.gradient(x, y)
+                self._assert_plan_free(op, x, y)
+
+    def test_threads_solving_one_instance_get_the_serial_answer(self):
+        """Four threads, more than a small machine's cores, share the
+        instance's operator: each replaces the plan the others are using,
+        and each keeps its own lag row.  With one lag row shared by all
+        threads, this test failed in each of seven runs on two cores."""
+        inst = generate_instance(Geometry.BELTWAY, 10, 1000, 0.0, 90000)
+        config = SolverConfig(seed=1)
+        serial = multi_start(inst, config)
+        answers = [[] for _ in range(4)]
+
+        def solve(slot):
+            answers[slot] = [multi_start(inst, config) for _ in range(15)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=solve, args=(slot,))
+                       for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for result in sum(answers, []):
+            assert result.x_final.tobytes() == serial.x_final.tobytes()
+            assert result.total_iterations == serial.total_iterations
+            assert result.stationarity_residual == serial.stationarity_residual
+        assert len(sum(answers, [])) == 60
+
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_operator_that_served_a_solve_copies_and_pickles(self, geom):
+        inst = generate_instance(geom, 10, 1000, 0.0, 90000)
+        multi_start(inst, SolverConfig(restarts=0))
+        x = inst.true_indicator()
+        for op in (copy.deepcopy(inst.op), pickle.loads(pickle.dumps(inst.op)),
+                   pickle.loads(pickle.dumps(inst)).op):
+            assert op == inst.op
+            assert op.forward(x).tobytes() == inst.y.tobytes()
+            self._assert_plan_free(op, x, inst.y)
 
 
 @pytest.mark.parametrize("geom", list(Geometry))

@@ -1,5 +1,6 @@
 """Hard-thresholding solver: line search, stopping, diagnostics, restarts."""
 
+import math
 from dataclasses import fields, replace
 from functools import partial
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import (armijo_step_reference, check_l_stationarity_loop,
-                     descend_reference,
-                     project_sparse_box_two_scan, random_support_start)
+                     descend_reference, project_sparse_box_two_scan,
+                     random_support_start, residual_reference)
 from udgp import (Geometry, LagOperator, NumericError, SolverConfig,
                   StopReason,
                   armijo_step, binary_misfit, check_l_stationarity,
@@ -371,8 +372,28 @@ class TestCarriedEvaluation:
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
         assert got.x_final.tobytes() == ref.x_final.tobytes()
         np.testing.assert_array_equal(got.final_step_norm, ref.final_step_norm)
-        assert got.stationarity_residual == ref.stationarity_residual
         assert got.stop_reason is ref.stop_reason
+        # the residual is computed only where a result is returned
+        assert math.isnan(got.stationarity_residual)
+        assert (solver._settled(got, inst, project).stationarity_residual
+                == residual_reference(inst, ref, project_ref, solver._GAMMA))
+
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_returned_results_carry_the_fresh_residual(self, geom):
+        """`iht_solve`, `l1pgd_solve` and `multi_start` return the residual
+        of their answer at its last step size, as `_descend` computed it
+        before on the evaluation it carried."""
+        inst = generate_instance(geom, 10, 1000, 2e-4, 90000)
+        box = partial(project_sparse_box, s=inst.s)
+        simplex = partial(project_capped_simplex, s=inst.s)
+        x0 = _grown_start(inst)
+        for result, project in (
+                (iht_solve(inst, SolverConfig(), x0), box),
+                (l1pgd_solve(inst, SolverConfig(max_iters=40), x0), simplex),
+                (multi_start(inst, SolverConfig(seed=1)), box),
+                (multi_start(inst, SolverConfig(max_iters=0)), box)):
+            assert result.stationarity_residual == residual_reference(
+                inst, result, project, solver._GAMMA)
 
     def test_cases_cover_both_paths_cuts_and_backtracks(self, monkeypatch):
         cases = _descend_cases()
