@@ -15,10 +15,9 @@ from .model import Geometry, LagOperator
 from .projections import (capped_simplex_with_multiplier,
                           project_capped_simplex, project_sparse_box)
 from .solver import (BacktrackExhausted, NumericError, SolveResult,
-                     SolverConfig, StationarityReport, StopReason,
-                     anchor_bins, armijo_step, binary_misfit,
-                     check_l_stationarity, iht_solve, l1pgd_solve,
-                     misfit_budget, multi_start, stationarity_residual)
+                     SolverConfig, StopReason, anchor_bins, armijo_step,
+                     binary_misfit, iht_solve, l1pgd_solve, misfit_budget,
+                     multi_start)
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "RecoveryReport",
     "SolveResult",
     "SolverConfig",
-    "StationarityReport",
     "StopReason",
     "anchor_bins",
     "armijo_step",
@@ -39,7 +37,6 @@ __all__ = [
     "binary_misfit",
     "bins_to_positions",
     "capped_simplex_with_multiplier",
-    "check_l_stationarity",
     "extract_positions",
     "generate_instance",
     "iht_solve",
@@ -54,6 +51,5 @@ __all__ = [
     "project_sparse_box",
     "save_instance",
     "score_recovery",
-    "stationarity_residual",
     "__version__",
 ]

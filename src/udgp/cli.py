@@ -145,7 +145,7 @@ def cmd_solve(args) -> int:
         print(f"udgp solve: {err}", file=sys.stderr)
         return 2
     open(args.out, "w").close()  # an unwritable --out fails before the solve
-    args.created = (args.out,)  # which `main` removes if the solve fails
+    args.created = [args.out]  # which `main` removes if the run fails
     rec = _solve_and_score(instance, config, args.method)
     record = {"method": args.method, "geometry": instance.geometry.value,
               "n": instance.n, "s": instance.s, "xi": instance.noise_sigma,
@@ -222,10 +222,11 @@ def cmd_bench(args) -> int:
         print(f"udgp bench: {err}", file=sys.stderr)
         return 2
     # an unwritable --out fails here, not after the whole grid is solved;
-    # `main` removes both files if a solve fails
-    args.created = (args.out, args.out + ".trials.csv")
-    for path in args.created:
+    # `main` removes the files this run created if it fails
+    args.created = []
+    for path in (args.out, args.out + ".trials.csv"):
         open(path, "w").close()
+        args.created.append(path)
 
     trial_rows = []
     mean_rows = []
@@ -295,12 +296,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except NumericError as err:
         print(f"udgp: numeric failure: {err}", file=sys.stderr)
-        for path in getattr(args, "created", ()):
-            os.remove(path)  # leave no empty output behind
-        return 4
+        code = 4
     except OSError as err:
         print(f"udgp: i/o failure: {err}", file=sys.stderr)
-        return 3
+        code = 3
+    for path in getattr(args, "created", ()):
+        os.remove(path)  # leave no empty output behind
+    return code
 
 
 if __name__ == "__main__":

@@ -37,14 +37,15 @@ descent passes through.  A start that still does not fit is repaired
 once more before a restart, within the noise budget, and a fit found
 that way is descended from once more with the method's projection.
 `iht_solve` and `l1pgd_solve`, called on their own, never repair.
-`stationarity_residual` and `check_l_stationarity` verify the fixed-point
-and sign conditions a converged iterate must satisfy.
+Each returned `SolveResult` carries its answer's fixed-point residual
+||x - P(x - tau * grad f(x))||; the acceptance suite's criterion 9
+verifies the paper's L-stationarity conditions with `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import NamedTuple
@@ -356,54 +357,6 @@ def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
     project = lambda z: project_capped_simplex(z, s)
     return _settled(_descend(instance, project(x0), project, config.max_iters,
                              _GAMMA, _EPSILON), instance, project)
-
-
-def stationarity_residual(x, tau: float, instance) -> float:
-    """Distance from x to the projected gradient point it should equal.
-
-    Zero exactly when x satisfies the fixed-point inclusion
-    x = P(x - tau * grad f(x)) under the projection's deterministic tie
-    rule.  Note the zero vector is a spurious fixed point: its gradient
-    vanishes, so the residual is zero there even though the data misfit
-    is not.
-    """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    s = instance.s
-    return _fixed_point_residual(np.asarray(x, dtype=float), tau, instance,
-                                 lambda z: project_sparse_box(z, s))
-
-
-_VIOLATION_KINDS = ("interior_grad_nonzero", "upper_bound_grad_positive",
-                    "zero_grad_negative")
-
-
-@dataclass
-class StationarityReport:
-    passed: bool
-    violations: list = field(default_factory=list)  # (kind, index, gradient value)
-
-
-def check_l_stationarity(x, instance, tol: float = 1e-6) -> StationarityReport:
-    """Sign conditions on the gradient at a candidate stationary point.
-
-    For coordinates strictly inside (0,1) the partial derivative must
-    vanish; at the upper bound it must be <= 0; at a zero coordinate that
-    can belong to a super support it must be >= 0.  When x already has s
-    nonzeros the support is its only super support, so zero coordinates
-    are unconstrained; when nnz(x) < s every zero coordinate is checked.
-    """
-    x = np.asarray(x, dtype=float)
-    g = instance.op.gradient(x, instance.y)
-    interior = (x > 0.0) & (x < 1.0)
-    upper = x >= 1.0
-    bad = (interior & (np.abs(g) > tol)) | (upper & (g > tol))
-    if np.count_nonzero(x) < instance.s:
-        bad |= ~(interior | upper) & (g < -tol)
-    kind = np.where(interior, 0, np.where(upper, 1, 2))
-    violations = [(_VIOLATION_KINDS[kind[p]], int(p), float(g[p]))
-                  for p in np.flatnonzero(bad)]
-    return StationarityReport(passed=not violations, violations=violations)
 
 
 def _philox(seed: int, start: int, stage: int) -> np.random.Generator:

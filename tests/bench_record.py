@@ -127,11 +127,10 @@ def grid(tmp: Path) -> dict:
                 "n": int(row["n"]), "xi": float(row["xi"]),
                 "method": row["method"], "trials": int(row["trials"]),
                 "mean_co_p": float(row["mean_co_p"]),
-                "mean_time_s": float(row["mean_time_s"])}
+                "mean_time_s": float(row["mean_time_s"]),
+                "homometric_trials": int(row["homometric_trials"])}
         if row["time_ratio_iht_vs_l1pgd"]:
             cell["time_ratio_iht_vs_l1pgd"] = float(row["time_ratio_iht_vs_l1pgd"])
-        if "homometric_trials" in row:
-            cell["homometric_trials"] = int(row["homometric_trials"])
         cell.update(work[tuple(row[k] for k in ("geometry", "s", "n", "xi",
                                                 "method"))])
         cells.append(cell)
@@ -142,7 +141,7 @@ def grid(tmp: Path) -> dict:
                            "total_iterations, seeded sums over their trials",
             "left_out": "(30,4000): its xi = 7e-5 trials run all 50 starts, "
                         "minutes per trial, until noisy answers are judged "
-                        "by transport misfit (ROADMAP item 3)",
+                        "by transport misfit (ROADMAP item 6)",
             "cells": cells}
 
 

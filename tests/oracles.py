@@ -6,17 +6,22 @@ window kernels rebuilt on every call, the sparse-box projection's
 two-scan tie rule, the capped-simplex bisection over all 2n breakpoints,
 the projected-gradient loop that evaluates every iterate afresh, under
 either offer rule of its pursuit step (the support's own indicator, or
-with repair the indicator rebuilt from a declined support), the
-L-stationarity sign check, a random binary start, the bin-by-bin
-cluster walk of position extraction and the symmetry-aware recovery
-count.
+with repair the indicator rebuilt from a declined support), a random
+binary start, the bin-by-bin cluster walk of position extraction and the
+symmetry-aware recovery count.
+
+The paper's stationarity conditions are checked here only: the
+fixed-point residual at any x (`fixed_point_residual`; each returned
+`SolveResult` carries its answer's) and the L-stationarity sign
+conditions on the gradient (`check_l_stationarity`).
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from udgp import Geometry, LagOperator, StationarityReport, solver
+from udgp import Geometry, LagOperator, solver
 from udgp.instances import _ENTRY_FLOOR, _MIN_CLUSTER_MASS
 from udgp.solver import (BacktrackExhausted, SolveResult, StopReason, _philox,
                          binary_misfit)
@@ -223,17 +228,36 @@ def descend_reference(instance, x0, project, max_iters, tau0, epsilon,
     )
 
 
-def residual_reference(instance, result, project, tau0) -> float:
-    """||x - project(x - tau * grad f(x))|| at result's answer x and last
-    step size tau (tau0 if it took no step), from a fresh gradient."""
-    x = result.x_final
-    tau = result.step_size_trace[-1] if result.iterations else tau0
+def fixed_point_residual(x, tau, instance, project) -> float:
+    """||x - project(x - tau * grad f(x))||, from a fresh gradient: zero
+    exactly when x is a fixed point of the projected-gradient step at tau."""
     g = instance.op.gradient(x, instance.y)
     return float(np.linalg.norm(x - project(x - tau * g)))
 
 
-def check_l_stationarity_loop(x, instance, tol: float = 1e-6) -> StationarityReport:
-    """Reference `check_l_stationarity`: one coordinate at a time."""
+def residual_reference(instance, result, project, tau0) -> float:
+    """`fixed_point_residual` at result's answer and last step size (tau0
+    if it took no step)."""
+    tau = result.step_size_trace[-1] if result.iterations else tau0
+    return fixed_point_residual(result.x_final, tau, instance, project)
+
+
+@dataclass
+class StationarityReport:
+    passed: bool
+    violations: list = field(default_factory=list)  # (kind, index, gradient value)
+
+
+def check_l_stationarity(x, instance, tol: float = 1e-6) -> StationarityReport:
+    """The L-stationarity sign conditions on the gradient at x, one
+    coordinate at a time.
+
+    For coordinates strictly inside (0,1) the partial derivative must
+    vanish; at the upper bound it must be <= 0; at a zero coordinate that
+    can belong to a super support it must be >= 0.  When x already has s
+    nonzeros the support is its only super support, so zero coordinates
+    are unconstrained; when nnz(x) < s every zero coordinate is checked.
+    """
     x = np.asarray(x, dtype=float)
     g = instance.op.gradient(x, instance.y)
     nnz = np.count_nonzero(x)

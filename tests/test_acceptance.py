@@ -13,10 +13,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from oracles import check_l_stationarity
 from udgp import (Geometry, SolverConfig, StopReason,
-                  capped_simplex_with_multiplier, check_l_stationarity,
-                  extract_positions, generate_instance, multi_start,
-                  project_sparse_box, score_recovery, solver)
+                  capped_simplex_with_multiplier, extract_positions,
+                  generate_instance, multi_start, project_sparse_box,
+                  score_recovery, solver)
 from udgp.model import LagOperator
 
 NOISE_GRID = [0.0, 1e-5, 3e-5, 5e-5, 7e-5]

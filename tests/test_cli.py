@@ -397,6 +397,14 @@ class TestBench:
                     "--trials", "1", "--out", str(out)]) == 3
         assert calls == []
 
+    def test_uncreatable_trials_file_leaves_no_output(self, tmp_path):
+        """--out opens, its trials companion does not: the run exits 3
+        and removes the --out it created, and nothing else."""
+        (tmp_path / "b.csv.trials.csv").mkdir()
+        assert run(["bench", "--geometry", "beltway", "--s", "4", "--n", "40",
+                    "--trials", "1", "--out", str(tmp_path / "b.csv")]) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["b.csv.trials.csv"]
+
     def test_custom_grid_requires_cell_flags(self, tmp_path, capsys):
         cell = {"--geometry": "beltway", "--s": "4", "--n": "40"}
         out = tmp_path / "x.csv"

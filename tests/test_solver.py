@@ -7,16 +7,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import (armijo_step_reference, check_l_stationarity_loop,
-                     descend_reference, project_sparse_box_two_scan,
-                     random_support_start, residual_reference)
+from oracles import (armijo_step_reference, check_l_stationarity,
+                     descend_reference, fixed_point_residual,
+                     project_sparse_box_two_scan, random_support_start,
+                     residual_reference)
 from udgp import (Geometry, LagOperator, NumericError, SolverConfig,
                   StopReason,
-                  armijo_step, binary_misfit, check_l_stationarity,
-                  extract_positions, generate_instance, iht_solve,
-                  l1pgd_solve, misfit_budget, multi_start,
-                  project_capped_simplex, project_sparse_box, score_recovery,
-                  stationarity_residual)
+                  armijo_step, binary_misfit, extract_positions,
+                  generate_instance, iht_solve, l1pgd_solve, misfit_budget,
+                  multi_start, project_capped_simplex, project_sparse_box,
+                  score_recovery)
 from udgp import solver
 from udgp.cli import BENCH_NOISE
 from udgp.instances import Instance
@@ -557,6 +557,26 @@ class TestPursuitExit:
         assert res.stop_reason is StopReason.CONVERGED
         assert res.final_step_norm <= solver._STAGE_EPSILON
 
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_decrease_rule_declines_an_exact_fit(self, repair, monkeypatch):
+        """With one true point at 0.7 and the others at 1, f is
+        (s-1) * 0.3^2 / m, short of (_DELTA/2) * 0.3^2 when m > 2(s-1)/_DELTA:
+        the exactly fitting indicator fails the decrease test.  The descent
+        goes on by Armijo steps and does not offer the same key again."""
+        inst = generate_instance(Geometry.TURNPIKE, 3, 100_000, 0.0, 1)
+        x0 = inst.true_indicator().copy()
+        x0[np.flatnonzero(x0)[1]] = 0.7
+        offers = _spy(monkeypatch, "_pursuit_step")
+        steps = _spy(monkeypatch, "armijo_step")
+        res = _descend(inst, x0, sparse_box(inst), 4, solver._GAMMA,
+                       solver._EPSILON, repair)
+        assert offers == [None]
+        assert np.array_equal(np.flatnonzero(res.x_final), np.flatnonzero(x0))
+        assert binary_misfit(inst, res.x_final) == 0  # the indicator fits
+        assert len(steps) == res.iterations == 4
+        assert res.stop_reason is StopReason.MAX_ITERS
+        assert np.all(np.diff(res.objective_trace) < 0)
+
     def test_noisy_histogram_declines_it(self, monkeypatch):
         """The `iht_noisy` benchmark's turnpike instance: y is perturbed, so
         the s-point support the descent reaches is offered and declined."""
@@ -730,27 +750,23 @@ class TestStationarity:
         inst = small_instance(n=50, s=4, seed=3)
         x = inst.true_indicator()
         for tau in (0.01, 0.3, 0.99):
-            assert stationarity_residual(x, tau, inst) == 0.0
+            assert fixed_point_residual(x, tau, inst, sparse_box(inst)) == 0.0
 
     def test_all_zeros_is_a_spurious_fixed_point(self):
         # gradient vanishes at the origin, so the residual is zero there
         # even though the histogram misfit is not
         inst = small_instance(n=30, s=3, seed=5)
         assert inst.op.objective(np.zeros(30), inst.y) > 0
-        assert stationarity_residual(np.zeros(30), 0.5, inst) == 0.0
+        assert fixed_point_residual(np.zeros(30), 0.5, inst,
+                                    sparse_box(inst)) == 0.0
 
     def test_positive_at_non_stationary_point_then_small_after_solve(self):
         inst = small_instance(n=40, s=4, seed=6)
         x0 = random_support_start(inst.n, inst.s, 8, 0)
-        assert stationarity_residual(x0, 0.9, inst) > 0
+        assert fixed_point_residual(x0, 0.9, inst, sparse_box(inst)) > 0
         res = iht_solve(inst, SolverConfig(), x0)
         if res.stop_reason is StopReason.CONVERGED:
             assert res.stationarity_residual <= 1e-6
-
-    def test_tau_must_be_positive(self):
-        inst = small_instance()
-        with pytest.raises(ValueError):
-            stationarity_residual(np.zeros(inst.n), 0.0, inst)
 
     def test_sign_conditions_pass_at_truth_and_after_solve(self):
         inst = small_instance(n=50, s=4, seed=10)
@@ -773,29 +789,23 @@ class TestStationarity:
         assert not report.passed
         assert "interior_grad_nonzero" in kinds
 
-    def test_sign_check_matches_loop_reference(self):
-        """Random iterates mixing interior, upper-bound and zero
-        coordinates, with nnz < s and nnz = s, against perturbed data so
-        every kind of violation occurs."""
-        rng = np.random.default_rng(0)
-        for geom in Geometry:
-            inst = generate_instance(geom, 6, 40, 0.0, 3)
-            kinds = set()
-            for nnz in (2, 4, 6) * 10:
-                x = np.zeros(inst.n)
-                support = rng.choice(inst.n, size=nnz, replace=False)
-                x[support] = rng.choice([0.3, 0.7, 1.0], size=nnz)
-                y = inst.y + rng.integers(-1, 2, size=inst.y.size)
-                data = Instance(geometry=geom, n=inst.n, s=inst.s, y=y,
-                                true_positions=inst.true_positions,
-                                noise_sigma=0.0, seed=0)
-                got = check_l_stationarity(x, data, tol=1e-3)
-                ref = check_l_stationarity_loop(x, data, tol=1e-3)
-                assert got.violations == ref.violations
-                assert got.passed == ref.passed
-                kinds.update(v[0] for v in ref.violations)
-            assert kinds == {"interior_grad_nonzero",
-                             "upper_bound_grad_positive", "zero_grad_negative"}
+    @pytest.mark.parametrize("shift, kinds", [
+        (1.0, {"interior_grad_nonzero", "zero_grad_negative"}),
+        (-1.0, {"interior_grad_nonzero", "upper_bound_grad_positive"}),
+    ])
+    def test_reports_bound_and_zero_violations(self, shift, kinds):
+        """x has 2 < s points, so its zero bins are checked too: a residual
+        of -1 at every lag makes the gradient negative there, one of +1
+        makes it positive at the upper bound."""
+        inst = small_instance(n=12, s=3, seed=1)
+        x = np.zeros(12)
+        x[3], x[7] = 0.5, 1.0
+        perturbed = Instance(geometry=inst.geometry, n=12, s=3,
+                             y=inst.op.forward(x) + shift,
+                             true_positions=inst.true_positions,
+                             noise_sigma=0.0, seed=0)
+        report = check_l_stationarity(x, perturbed)
+        assert {v[0] for v in report.violations} == kinds
 
 
 class TestMultiStart:
