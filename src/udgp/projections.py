@@ -11,6 +11,12 @@
   dozen nonzeros; because the clipped sum as computed is monotone in the
   multiplier, the answer is bit for bit that of bisecting all 2n
   breakpoints.
+
+Each set also has a support-kept entry point, `sparse_box_kept` and
+`capped_simplex_kept`, for the tries of one projected-gradient step
+from an iterate x with support S: a try whose projection provably keeps
+S, or that no bin off S enters, is formed from S's entries and the best
+entrant's without the full projection, and equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +57,38 @@ def project_sparse_box(z, s: int) -> np.ndarray:
     return x
 
 
+def sparse_box_kept(x, grad, support, g_b, s: int):
+    """`project_sparse_box`'s tries from x along -grad that keep x's
+    support S, formed on S alone.
+
+    S must miss at least one bin, and g_b is the least grad off S.
+    Returns None unless S holds s bins, and otherwise a function of tau
+    that gives (project_sparse_box(x - tau * grad, s), S) when that
+    projection provably keeps S, and None when it may not.  With z = x - tau * grad on S, S is kept when z_b = -tau * g_b, the
+    largest z off S, is at most 1, every z on S is positive, and the
+    smallest gain on S exceeds z_b's.  The projection is then min(z, 1)
+    on S and zero off it.  Each value is computed by the same
+    floating-point operations as through `project_sparse_box`, so the two
+    agree bit for bit.
+    """
+    if support.size != s:
+        return None
+    x_s, g_s = x[support], grad[support]
+
+    def tried(tau):
+        z = x_s - tau * g_s
+        b = max(0.0 - tau * g_b, 0.0)  # z_b, or 0 when its gain is 0
+        clipped = np.minimum(z, 1.0)
+        if not (b <= 1.0 and z.min() > 0.0
+                and (z * z - (z - clipped) ** 2).min() > b * b):
+            return None
+        x_next = np.zeros(x.size)
+        x_next[support] = clipped
+        return x_next, support
+
+    return tried
+
+
 def project_capped_simplex(z, s: int) -> np.ndarray:
     """Project z onto {x in [0,1]^n : sum(x) = s}."""
     x, _ = capped_simplex_with_multiplier(z, s)
@@ -74,10 +112,11 @@ def capped_simplex_with_multiplier(z, s: int) -> tuple[np.ndarray, float]:
     is short of s, k grows fourfold, up to n.  Otherwise t's sum at each
     of these breakpoints is estimated by a sweep over their slopes, and
     the first whose estimate reaches s is where the search starts; the
-    computed sum `cap_sum` then settles the bracket, stepping up while it
-    is short of s and down while the breakpoint below also reaches s.
+    computed sum over all of z, cap_sum, then settles the bracket
+    (`_settle`), stepping up while it is short of s and down while the
+    breakpoint below also reaches s.
 
-    `cap_sum` as computed is nondecreasing in lam: float addition, clip
+    cap_sum as computed is nondecreasing in lam: float addition, clip
     and NumPy's fixed pairwise summation are each monotone.  So bisecting
     all 2n sorted breakpoints returns one pair: hi, the least index >= 1
     whose sum reaches s, or the last index when none does (s = n with the
@@ -97,54 +136,109 @@ def capped_simplex_with_multiplier(z, s: int) -> tuple[np.ndarray, float]:
     if s < 1:
         raise ValueError(f"sum target must be >= 1, got {s}")
 
-    def cap_sum(lam: float) -> float:
-        return float(np.clip(z + lam, 0.0, 1.0).sum())
-
     k = min(n, 8 * s)
     part = np.partition(z, n - k - 1) if k < n else z
     while True:
         t = part[n - k:]
-        if k < n:
-            c = -part[n - k - 1]
-            # each t_j + c >= 0, so only the cap at 1 clips t's sum at c
-            if np.minimum(t + c, 1.0).sum() < s:
-                k = min(n, 4 * k)
-                part = np.sort(part)  # one sort serves every wider k
-                continue
-        starts = np.sort(-t)
-        both = np.concatenate([starts, starts + 1.0])  # -t_j, then 1 - t_j
-        order = np.argsort(both, kind="stable")  # merges two sorted runs
-        bp = both[order]
-        # t's clipped sum has slope +1 past each -t_j, -1 past each 1 - t_j
-        slope = np.cumsum(np.where(order < k, 1.0, -1.0))
-        if k < n:
-            # the breakpoints below c, then c
-            bp = np.concatenate([bp[:np.searchsorted(bp, c)], [c]])
-        last = bp.size - 1
-        # estimate[j] is t's clipped sum at bp[j + 1]; it is 0 at bp[0]
-        estimate = np.cumsum(slope[:last] * np.diff(bp))
-        hi = min(last, 1 + int(np.count_nonzero(estimate < s)))
+        c = -part[n - k - 1] if k < n else None
+        # each t_j + c >= 0, so only the cap at 1 clips t's sum at c
+        if c is None or np.minimum(t + c, 1.0).sum() >= s:
+            lam = _settle(z, s, t, c)
+            if lam is not None:
+                return np.clip(z + lam, 0.0, 1.0), lam
+        k = min(n, 4 * k)
+        part = np.sort(part)  # one sort serves every wider k
+
+
+def _settle(z, s: int, t: np.ndarray, c: float | None) -> float | None:
+    """The multiplier lam of z's capped-simplex projection, bracketed
+    among the breakpoints of t, entries of z, below c, then c; or None if
+    z's clipped sum at c falls short of s.  c = None brackets among all of
+    t's breakpoints, t being all of z.
+
+    Every entry of z not in t must be at most -c, so that below c it
+    clips to 0 and the breakpoints searched are the leading entries of
+    all 2n sorted ones (see `capped_simplex_with_multiplier`).  The sums
+    are taken over all of z, whose pairwise summation depends on where
+    the positive entries sit, so lam is the bisection's bit for bit.
+    """
+
+    def cap_sum(lam: float) -> float:
+        # min(max(.)) is clip up to the sign of a zero, which no sum of
+        # these nonnegative terms can tell apart
+        v = z + lam
+        np.maximum(v, 0.0, out=v)
+        np.minimum(v, 1.0, out=v)
+        return float(v.sum())
+
+    starts = -t
+    starts.sort()
+    both = np.concatenate([starts, starts + 1.0])  # -t_j, then 1 - t_j
+    order = both.argsort(kind="stable")  # merges two sorted runs
+    bp = both[order]
+    # t's clipped sum has slope +1 past each -t_j, -1 past each 1 - t_j
+    slope = np.where(order < t.size, 1.0, -1.0).cumsum()
+    if c is not None:
+        # the breakpoints below c, then c
+        bp = np.concatenate([bp[:bp.searchsorted(c)], [c]])
+    last = bp.size - 1
+    # estimate[j] is t's clipped sum at bp[j + 1]; it is 0 at bp[0]
+    estimate = (slope[:last] * (bp[1:] - bp[:-1])).cumsum()
+    hi = min(last, 1 + int(np.count_nonzero(estimate < s)))
+    s_hi = cap_sum(bp[hi])
+    while s_hi < s and hi < last:
+        # equal breakpoints have equal sums: skip past them
+        hi = min(last, int(bp.searchsorted(bp[hi], "right")))
         s_hi = cap_sum(bp[hi])
-        while s_hi < s and hi < last:
-            # equal breakpoints have equal sums: skip past them
-            hi = min(last, int(np.searchsorted(bp, bp[hi], "right")))
-            s_hi = cap_sum(bp[hi])
-        # at k = n a last breakpoint whose rounded sum falls short of s
-        # (s = n) closes the bracket, as in the bisection
-        if s_hi < s and k < n:
-            k = min(n, 4 * k)
-            part = np.sort(part)
-            continue
+    # without c, a last breakpoint whose rounded sum falls short of s
+    # (s = n) closes the bracket, as in the bisection
+    if s_hi < s and c is not None:
+        return None
+    lo = hi - 1
+    s_lo = cap_sum(bp[lo])
+    while lo > 0 and s_lo >= s:
+        hi, s_hi = max(1, int(bp.searchsorted(bp[lo], "left"))), s_lo
         lo = hi - 1
         s_lo = cap_sum(bp[lo])
-        while lo > 0 and s_lo >= s:
-            hi, s_hi = max(1, int(np.searchsorted(bp, bp[lo], "left"))), s_lo
-            lo = hi - 1
-            s_lo = cap_sum(bp[lo])
-        break
     if s_hi <= s_lo:
-        lam = float(bp[lo])
-    else:
-        frac = (s - s_lo) / (s_hi - s_lo)
-        lam = float(bp[lo] + frac * (bp[hi] - bp[lo]))
-    return np.clip(z + lam, 0.0, 1.0), lam
+        return float(bp[lo])
+    frac = (s - s_lo) / (s_hi - s_lo)
+    return float(bp[lo] + frac * (bp[hi] - bp[lo]))
+
+
+def capped_simplex_kept(x, grad, support, g_b, s: int):
+    """`project_capped_simplex`'s tries from x along -grad that no bin off
+    x's support S enters.
+
+    S must hold at least one bin and miss at least one, and g_b is the
+    least grad off S.  Returns a function of tau that gives
+    (project_capped_simplex(x - tau * grad, s), its support) when no bin
+    off S turns positive in it, and None otherwise.  With
+    z = x - tau * grad, the largest z off S is z_b = -tau * g_b, and below
+    its breakpoint c = -z_b every bin off S clips to 0, so the multiplier
+    is bracketed among S's breakpoints below c, then c (`_settle`), or
+    else the try is declined.  At that multiplier lam no bin off S is
+    positive when z_b + lam <= 0, and the projection is then
+    clip(z + lam, 0, 1) on S and zero off it; its support is the bins of
+    S that stay positive.  Each value is computed by the same
+    floating-point operations as through `project_capped_simplex`, so the
+    two agree bit for bit.
+    """
+
+    def tried(tau):
+        z = x - tau * grad
+        z_b = 0.0 - tau * g_b  # as z's entries off S are formed
+        t = z[support]
+        lam = _settle(z, s, t, -z_b)
+        if lam is None or z_b + lam > 0.0:
+            return None
+        # clip(t + lam, 0, 1): no z on S is -0.0, so neither is t + lam,
+        # and min(max(.)) returns clip's bits
+        on = t + lam
+        np.maximum(on, 0.0, out=on)
+        np.minimum(on, 1.0, out=on)
+        x_next = np.zeros(z.size)
+        x_next[support] = on
+        return x_next, support[on != 0.0]
+
+    return tried

@@ -52,7 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .projections import project_capped_simplex, project_sparse_box
+from .projections import (capped_simplex_kept, project_capped_simplex,
+                          project_sparse_box, sparse_box_kept)
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -159,39 +160,35 @@ def armijo_step(x, grad, f_x, instance, project, tau0, support=None) -> Step:
     caller's next `gradient` at x_next needs no forward pass.  Raises
     BacktrackExhausted if no exponent works.
 
-    When project is partial(project_sparse_box, s=sp) and support, x's
-    support S, holds sp bins, a try whose projection provably keeps S is
-    formed on S alone, with no n-length projection or scan.  With
-    z = x - tau * grad, S is kept when z_b, the largest z off S, is at
-    most 1, every z on S is positive, and the smallest gain on S (see
-    `project_sparse_box`) exceeds z_b's.  The projection is then min(z, 1)
-    on S and zero off it, and its residual is taken on S.  z_b is
-    -tau * (the least grad off S), found once per step.  Each value is
-    computed by the same floating-point operations as through
-    `project_sparse_box` and `evaluate`, so the Step is the same bit for
-    bit; a try that fails any test takes the general path.  The mask of
-    bins off S comes from the operator's plan of S (`LagOperator._plan`),
-    which the gradient at x and the kept tries' evaluations share.
+    When project is partial(project_sparse_box, s=...) or
+    partial(project_capped_simplex, s=...) and support, x's support S, is
+    neither empty nor all n bins, each try is first offered to that set's
+    support-kept entry point (`sparse_box_kept`, `capped_simplex_kept`),
+    handed the least grad off S, found once per step.  A try it forms is
+    evaluated on its support alone (`LagOperator._evaluate`); a try it
+    declines takes the general path, and the Step is the same bit for bit
+    either way.  The mask of bins off S comes from the operator's plan of
+    S (`LagOperator._plan`), which the gradient at x and the formed
+    tries' evaluations share.
     """
     op, y = instance.op, instance.y
-    kept = (support is not None
-            and getattr(project, "func", None) is project_sparse_box
-            and support.size == project.keywords.get("s") < x.size)
-    if kept:
-        x_s, g_s = x[support], grad[support]
+    func = getattr(project, "func", None)
+    kept = (sparse_box_kept if func is project_sparse_box
+            else capped_simplex_kept if func is project_capped_simplex
+            else None)
+    if (kept and support is not None and 0 < support.size < x.size
+            and "s" in project.keywords):
         g_b = np.minimum.reduce(grad, where=op._plan(support).off,
                                 initial=np.inf)
+        kept = kept(x, grad, support, g_b, project.keywords["s"])
+    else:
+        kept = None
     for t in range(_MAX_BACKTRACKS + 1):
         tau = tau0 * _ALPHA**t
-        if kept:
-            z = x_s - tau * g_s
-            b = max(0.0 - tau * g_b, 0.0)  # z_b, or 0 when its gain is 0
-            clipped = np.minimum(z, 1.0)
-        if (kept and b <= 1.0 and z.min() > 0.0
-                and (z * z - (z - clipped) ** 2).min() > b * b):
-            x_next = np.zeros(x.size)
-            x_next[support] = clipped
-            f_next, r, s_next = op._evaluate(x_next, support, y)
+        tried = kept(tau) if kept else None
+        if tried is not None:
+            x_next, on = tried
+            f_next, r, s_next = op._evaluate(x_next, on, y)
         else:
             x_next = project(x - tau * grad)
             f_next, r, s_next = op.evaluate(x_next, y)
@@ -258,8 +255,8 @@ def _descend(instance, x0, project, max_iters, tau0, epsilon,
     and support come from the Armijo step that accepted it, so every
     iteration costs one gradient plus one projection and one evaluation
     per candidate tried, and no iterate is evaluated twice.  The support
-    is handed to `armijo_step`, so on a sparse box a candidate that
-    keeps it is formed and evaluated on it alone.
+    is handed to `armijo_step`, so on either solver's set a candidate
+    that no bin off it enters is formed and evaluated on it alone.
 
     A non-finite f(x0) raises NumericError, the only finiteness check:
     later iterates lie in [0,1]^n, with lag counts of at most n, so f is
@@ -347,14 +344,15 @@ def l1pgd_solve(instance, config: SolverConfig, x0) -> SolveResult:
 
     x0 must be finite, and is projected onto the feasible set first: an
     s-point indicator comes back bit for bit, a feasible fractional x0
-    within rounding.  Iterates are generally dense; the recovery pipeline handles the
+    within rounding.  Iterates are fractional, dense at first and a few
+    dozen bins wide late in a descent; the recovery pipeline handles the
     fractional mass when extracting positions.
     """
     s = instance.s
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    project = lambda z: project_capped_simplex(z, s)
+    project = partial(project_capped_simplex, s=s)
     return _settled(_descend(instance, project(x0), project, config.max_iters,
                              _GAMMA, _EPSILON), instance, project)
 
@@ -574,7 +572,7 @@ def multi_start(instance, config: SolverConfig, method: str = "iht") -> SolveRes
     if method == "iht":
         project = partial(project_sparse_box, s=s)
     elif method == "l1pgd":
-        project = lambda z: project_capped_simplex(z, s)
+        project = partial(project_capped_simplex, s=s)
     else:
         raise ValueError(f"unknown method {method!r}")
     budget = misfit_budget(instance)

@@ -37,21 +37,26 @@ bisection's time over the capped simplex's.  A row reads DIFFERS when
 the capped simplex returns an x or a multiplier other than the
 bisection's.
 
-The Armijo-step table: at turnpike and beltway (10,1000), turnpike
-(20,2000) and turnpike (30,4000) it grows start 0 of a noise-free
-instance with `_guided_start` and takes the first step of the IHT final
-descent, which births the s-th point.  From that s-point iterate it
-times one `armijo_step` on the s-sparse box at base step _GAMMA, handed
-the iterate's support (column short_us: a step that keeps the support
-runs no n-length projection) and not handed it (general_us: every try
-is projected and evaluated over all n bins).  The column proj
-counts the projections the first of the two ran, 0 when the shortcut
-took every try, and speedup is general_us over short_us.  forward_us
-times the pair forward map at the iterate, and iter_us one whole
-support-kept iteration as `_descend` runs it: the gradient from the
-carried residual, then the step handed the support.  Each call after
-the first finds the support's `_plan` kept.  A row reads DIFFERS when
-the two calls return Steps that differ in any field.
+The Armijo-step table: it grows start 0 of a noise-free instance with
+`_guided_start` and times one `armijo_step` at base step _GAMMA from an
+iterate of a final descent.  Rows `box`, at turnpike and beltway
+(10,1000), turnpike (20,2000) and turnpike (30,4000), step on the
+s-sparse box from the iterate after the IHT final descent's first step,
+which births the s-th point.  Rows `simplex`, at turnpike and beltway
+(10,1000) and turnpike (20,2000), step on the capped simplex from the
+iterate after 300 steps of the baseline's final descent, which by then
+holds a few dozen bins (column k).  Each step is timed handed the
+iterate's support (column short_us: a try that no bin off the support
+enters is formed on it, with no full projection) and not handed it
+(general_us: every try is projected and evaluated over all n bins).
+The column proj counts the projections the first of the two ran, 0
+when the shortcut took every try, and speedup is general_us over
+short_us.  forward_us times the pair forward map at the iterate, and
+iter_us one whole support-kept iteration as `_descend` runs it: the
+gradient from the carried residual, then the step handed the support.
+Each call after the first finds the support's `_plan` kept.  A row
+reads DIFFERS when the two calls return Steps that differ in any
+field.
 
 Like `tests/panel_fingerprint.py`, the script pins the BLAS and OpenMP
 pools to one thread and puts `src/` on the import path before NumPy
@@ -70,8 +75,14 @@ from pathlib import Path
 
 GRADIENT_SIZES = [(10, 1000), (20, 2000), (30, 4000), (50, 8000), (80, 16000)]
 PROJECTION_SIZES = [(10, 1000), (20, 2000), (30, 4000)]
-ARMIJO_CELLS = [("turnpike", 10, 1000), ("beltway", 10, 1000),
-                ("turnpike", 20, 2000), ("turnpike", 30, 4000)]
+ARMIJO_CELLS = [("box", "turnpike", 10, 1000), ("box", "beltway", 10, 1000),
+                ("box", "turnpike", 20, 2000), ("box", "turnpike", 30, 4000),
+                ("simplex", "turnpike", 10, 1000),
+                ("simplex", "beltway", 10, 1000),
+                ("simplex", "turnpike", 20, 2000)]
+PROJECTIONS = {"box": "project_sparse_box", "simplex": "project_capped_simplex"}
+# steps of the final descent taken before the timed step
+ARMIJO_STEPS = {"box": 1, "simplex": 300}
 
 
 def median_us(fn, calls: int) -> float:
@@ -154,21 +165,24 @@ def armijo_rows(calls: int):
     import numpy as np
     from udgp import Geometry, SolverConfig, generate_instance, solver
 
-    yield ("geometry   s     n  k proj  short_us general_us speedup "
+    yield ("set     geometry   s     n  k proj  short_us general_us speedup "
            "forward_us   iter_us")
-    for geometry, s, n in ARMIJO_CELLS:
+    for kind, geometry, s, n in ARMIJO_CELLS:
+        name = PROJECTIONS[kind]
         inst = generate_instance(Geometry(geometry), s, n, 0.0, 90000)
         grown, _ = solver._guided_start(inst, SolverConfig(), 0)
-        x = solver._descend(inst, grown, partial(solver.project_sparse_box, s=s),
-                            1, solver._GAMMA, solver._EPSILON).x_final
+        project = partial(getattr(solver, name), s=s)
+        x0 = grown if kind == "box" else project(grown)
+        x = solver._descend(inst, x0, project, ARMIJO_STEPS[kind],
+                            solver._GAMMA, solver._EPSILON).x_final
         f, r, support = inst.op.evaluate(x, inst.y)
         grad = inst.op.gradient(x, inst.y, r, support)
 
         def step(*kept, g=grad):
             # the partial is built per call, so that `projections` can
             # swap the function armijo_step recognises
-            box = partial(solver.project_sparse_box, s=s)
-            return solver.armijo_step(x, g, f, inst, box, solver._GAMMA,
+            project = partial(getattr(solver, name), s=s)
+            return solver.armijo_step(x, g, f, inst, project, solver._GAMMA,
                                       *kept)
 
         def iteration():
@@ -183,27 +197,27 @@ def armijo_rows(calls: int):
         same = (a.x.tobytes() == b.x.tobytes() and a.r.tobytes() == b.r.tobytes()
                 and (a.f, a.tau, a.t, a.step_sq) == (b.f, b.tau, b.t, b.step_sq)
                 and np.array_equal(a.support, b.support))
-        yield (f"{geometry:8} {s:3d} {n:5d} {support.size:2d} "
-               f"{projections(solver, lambda: step(support)):4d} "
+        yield (f"{kind:7} {geometry:8} {s:3d} {n:5d} {support.size:2d} "
+               f"{projections(solver, name, lambda: step(support)):4d} "
                f"{short:9.1f} {general:10.1f} {general / short:6.2f}x "
                f"{forward:10.1f} {whole:9.1f} "
                f"{'ok' if same else 'DIFFERS'}")
 
 
-def projections(solver, fn) -> int:
-    """The sparse-box projections fn() runs through
-    `solver.project_sparse_box`, counted by patching that name."""
-    original, calls = solver.project_sparse_box, []
+def projections(solver, name, fn) -> int:
+    """The projections fn() runs through `solver.<name>`, counted by
+    patching that name."""
+    original, calls = getattr(solver, name), []
 
     def counted(z, s):
         calls.append(s)
         return original(z, s)
 
-    solver.project_sparse_box = counted
+    setattr(solver, name, counted)
     try:
         fn()
     finally:
-        solver.project_sparse_box = original
+        setattr(solver, name, original)
     return len(calls)
 
 

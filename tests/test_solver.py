@@ -7,10 +7,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import (armijo_step_reference, check_l_stationarity,
-                     descend_reference, fixed_point_residual,
-                     project_sparse_box_two_scan, random_support_start,
-                     residual_reference)
+from oracles import (armijo_step_reference, capped_simplex_bisection,
+                     check_l_stationarity, descend_reference,
+                     fixed_point_residual, project_sparse_box_two_scan,
+                     random_support_start, residual_reference)
 from udgp import (Geometry, LagOperator, NumericError, SolverConfig,
                   StopReason,
                   armijo_step, binary_misfit, extract_positions,
@@ -29,6 +29,11 @@ def small_instance(geom=Geometry.TURNPIKE, s=3, n=20, seed=0, xi=0.0):
 
 def sparse_box(inst):
     return lambda z: project_sparse_box(z, inst.s)
+
+
+def simplex_bisection(z, s):
+    """The capped-simplex projection by `capped_simplex_bisection`."""
+    return capped_simplex_bisection(z, s)[0]
 
 
 class TestConfig:
@@ -119,10 +124,12 @@ class TestArmijoStep:
 
 def _spy_tries(monkeypatch):
     """Record each `solver.armijo_step` call as (eligible, shortcut tries,
-    general tries).  It is eligible when its projection is the sparse box
-    at the size of the support it is handed.  A shortcut try evaluates
-    its candidate through `LagOperator._evaluate` alone, a general one
-    through `LagOperator.evaluate`, which calls `_evaluate` in turn."""
+    general tries).  It is eligible when it is handed a support that
+    neither is empty nor holds every bin, and its projection is the
+    sparse box at that support's size or the capped simplex.  A shortcut
+    try evaluates its candidate through `LagOperator._evaluate` alone, a
+    general one through `LagOperator.evaluate`, which calls `_evaluate`
+    in turn."""
     steps = []
     evals = [0, 0]  # calls of LagOperator._evaluate, of LagOperator.evaluate
     inner, outer = LagOperator._evaluate, LagOperator.evaluate
@@ -142,9 +149,11 @@ def _spy_tries(monkeypatch):
             return step(x, grad, f_x, instance, project, tau0, support)
         finally:
             general = evals[1] - before[1]
-            eligible = (getattr(project, "func", None) is project_sparse_box
-                        and support is not None
-                        and support.size == project.keywords["s"])
+            func = getattr(project, "func", None)
+            eligible = (support is not None and 0 < support.size < x.size
+                        and (func is project_capped_simplex
+                             or func is project_sparse_box
+                             and support.size == project.keywords["s"]))
             steps.append((eligible, evals[0] - before[0] - general, general))
 
     monkeypatch.setattr(LagOperator, "_evaluate", counted_inner)
@@ -249,6 +258,143 @@ class TestSupportKeptStep:
         assert (got.f, got.tau, got.t) == (f_ref, tau, t)
 
 
+def _assert_matches_bisection(got, x, grad, f_x, inst, s, tau0):
+    x_ref, f_ref, tau, t = armijo_step_reference(
+        x, grad, f_x, inst, partial(simplex_bisection, s=s), tau0)
+    assert got.x.tobytes() == x_ref.tobytes()
+    assert (got.f, got.tau, got.t) == (f_ref, tau, t)
+
+
+class TestSupportKeptSimplexStep:
+    """On the capped simplex, `armijo_step` settles a try that no bin off
+    x's support S enters among S's breakpoints and the best entrant's; its
+    Step is the one the general path and the bisection reference return,
+    bit for bit, and every try it cannot settle that way falls back to
+    the general path."""
+
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_matches_the_general_path_on_random_iterates(self, geom,
+                                                          monkeypatch):
+        """Iterates of the baseline's final descent, whose tries keep their
+        support, and random sparse ones, whose tries let entrants in."""
+        inst = generate_instance(geom, 10, 1000, 0.0, 90000)
+        op, s = inst.op, inst.s
+        project = partial(project_capped_simplex, s=s)
+        iterates = []
+        step = solver.armijo_step
+
+        def recorded(x, grad, f_x, instance, project, tau0, support=None):
+            iterates.append((x, support))
+            return step(x, grad, f_x, instance, project, tau0, support)
+
+        monkeypatch.setattr(solver, "armijo_step", recorded)
+        _descend(inst, project(_grown_start(inst)), project, 400,
+                 solver._GAMMA, solver._EPSILON)
+        monkeypatch.undo()
+        rng = np.random.default_rng(7)
+        xs = [iterates[i][0] for i in rng.choice(len(iterates), 20,
+                                                 replace=False)]
+        for _ in range(20):
+            k = int(rng.integers(s, 4 * s))
+            x = np.zeros(inst.n)
+            x[rng.choice(inst.n, k, replace=False)] = np.where(
+                rng.random(k) < 0.3, 1.0, rng.uniform(0.01, 1.0, k))
+            xs.append(x)
+        steps = _spy_tries(monkeypatch)
+        dense = []  # the descent's first iterates hold every bin
+        for x in xs:
+            f_x, r, support = op.evaluate(x, inst.y)
+            grad = op.gradient(x, inst.y, r, support)
+            tau0 = 10.0 ** rng.uniform(-2.0, 2.0)
+            got = solver.armijo_step(x, grad, f_x, inst, project, tau0,
+                                     support)
+            want = solver.armijo_step(x, grad, f_x, inst, project, tau0)
+            _assert_same_step(got, want)
+            _assert_matches_bisection(got, x, grad, f_x, inst, s, tau0)
+            dense.append(support.size == inst.n)
+        with_support = [st for st, d in zip(steps[::2], dense) if not d]
+        assert all(eligible for eligible, *_ in with_support)
+        # both paths ran; without the support, only the general one
+        assert sum(short for _, short, _ in with_support) > 0
+        assert sum(general for *_, general in with_support) > 0
+        assert all(short == 0 for _, short, _ in steps[1::2])
+
+    @pytest.mark.parametrize("x_at, grad_at, s, shortcut, support", [
+        pytest.param({5: 0.5, 10: 0.5, 15: 0.5},
+                     {5: -0.5, 10: -0.5, 15: 1.0}, 2, True, [5, 10],
+                     id="support entry driven to 0"),
+        pytest.param({5: 0.5, 10: 0.5, 15: 0.5},
+                     {5: -0.25, 10: -0.25, 15: 0.75, 2: 0.25}, 2, True,
+                     [5, 10], id="multiplier at the entrant's breakpoint"),
+        pytest.param({5: 0.5, 10: 0.5, 15: 0.5}, {2: -1.0}, 2, False,
+                     [2, 5, 10, 15], id="entrant enters"),
+        pytest.param({5: 0.5}, {5: -0.18, 2: 0.32}, 1, False, [2, 5],
+                     id="entrant enters by rounding")])
+    def test_forced_tries(self, x_at, grad_at, s, shortcut, support,
+                          monkeypatch):
+        """At tau = 1, with grad 1 on every bin not listed: x on bins 5, 10
+        and 15 reaches (1, 1, 0), at a multiplier inside its bracket or at
+        the best entrant's breakpoint, bin 2's, where bin 2 stays at 0; or
+        bin 2 enters at 1 with the support at 1/3 each, the sum at its
+        breakpoint falling short of s; or z = 0.68 on bin 5 and -0.32 on
+        bin 2 bracket s = 1 between -0.68 and 0.32, and the interpolated
+        multiplier rounds past 0.32, leaving bin 2 at 2^-54."""
+        steps = _spy_tries(monkeypatch)
+        inst = small_instance(s=3, n=20)
+        x, grad = np.zeros(20), np.ones(20)
+        x[list(x_at)] = list(x_at.values())
+        grad[list(grad_at)] = list(grad_at.values())
+        project = partial(project_capped_simplex, s=s)
+        f_x = 1e6  # the decrease rule accepts t = 0
+        got = solver.armijo_step(x, grad, f_x, inst, project, 1.0,
+                                 np.flatnonzero(x))
+        assert steps[0] == ((True, 1, 0) if shortcut else (True, 0, 1))
+        _assert_same_step(got, solver.armijo_step(x, grad, f_x, inst, project,
+                                                  1.0))
+        _assert_matches_bisection(got, x, grad, f_x, inst, s, 1.0)
+        assert got.t == 0
+        np.testing.assert_array_equal(got.support, support)
+
+    def test_tied_bracket_sums_on_every_bin(self, monkeypatch):
+        """With s = n every bin is in S, so no try is offered to the
+        shortcut.  There the sum at the last breakpoint can round short of
+        n: at z = -1.09 on every bin, z + (1 - z) rounds to 1 - 2^-52, and
+        the bracket is the last two breakpoints, both 2.09, whose sums tie.
+        Only the general path meets such a bracket: one the shortcut
+        settles has a sum below s and one reaching it."""
+        steps = _spy_tries(monkeypatch)
+        inst = small_instance(s=3, n=20)
+        x, grad = np.full(20, 0.5), np.full(20, 1.59)
+        project = partial(project_capped_simplex, s=20)
+        got = solver.armijo_step(x, grad, 1e6, inst, project, 1.0,
+                                 np.flatnonzero(x))
+        assert steps[0] == (False, 0, 1)
+        _assert_same_step(got, solver.armijo_step(x, grad, 1e6, inst, project,
+                                                  1.0))
+        _assert_matches_bisection(got, x, grad, 1e6, inst, 20, 1.0)
+        assert np.all(got.x == 1.0 - 2.0**-52) and got.x.sum() < 20
+
+    def test_backtracked_step_mixes_both_paths(self, monkeypatch):
+        """x = 2/3 on bins 5, 10 and 15, grad (-1, 0.5, 0.5) there and 0.25
+        on bin 2: bin 2 enters for tau > 2/3, once bin 5 is capped at 1, so
+        tau = 4, 2 and 1 take the general path and fail the decrease rule,
+        and tau = 0.5 takes the shortcut and passes it."""
+        monkeypatch.setattr(solver, "_DELTA", 10.0)
+        steps = _spy_tries(monkeypatch)
+        inst = small_instance(s=3, n=20)
+        x, grad = np.zeros(20), np.full(20, 5.0)
+        x[[5, 10, 15]] = 2.0 / 3.0
+        grad[[5, 10, 15, 2]] = [-1.0, 0.5, 0.5, 0.25]
+        project = partial(project_capped_simplex, s=2)
+        f_x = 1.1
+        got = solver.armijo_step(x, grad, f_x, inst, project, 4.0,
+                                 np.flatnonzero(x))
+        assert steps[0] == (True, 1, 3) and got.t == 3
+        _assert_same_step(got, solver.armijo_step(x, grad, f_x, inst, project,
+                                                  4.0))
+        _assert_matches_bisection(got, x, grad, f_x, inst, 2, 4.0)
+        np.testing.assert_array_equal(got.support, [5, 10, 15])
+
 def _dense_start(n, s):
     # dense and uneven: a uniform start is stationary on the circle
     return project_capped_simplex(
@@ -311,7 +457,8 @@ def _descend_cases():
                partial(project_sparse_box_two_scan, s=s))
         stage = (partial(project_sparse_box, s=4),
                  partial(project_sparse_box_two_scan, s=4))
-        simplex = (partial(project_capped_simplex, s=s),) * 2
+        simplex = (partial(project_capped_simplex, s=s),
+                   partial(simplex_bisection, s=s))
         anchored = np.zeros(n)
         anchored[[0, int(np.flatnonzero(inst.y).max()) + 1]] = 1.0
         dense = _dense_start(n, s)
@@ -350,7 +497,8 @@ def _descend_cases():
         for kind, projections in (
                 ("box", (partial(project_sparse_box, s=k),
                          partial(project_sparse_box_two_scan, s=k))),
-                ("simplex", (partial(project_capped_simplex, s=k),) * 2)):
+                ("simplex", (partial(project_capped_simplex, s=k),
+                             partial(simplex_bisection, s=k)))):
             cases.append((f"{geom.value} ({k},{m}) {kind} repair", declined,
                           projections[0](start), *projections,
                           (*solve, True), delta))
@@ -407,14 +555,18 @@ class TestCarriedEvaluation:
             fallback[label] = sum(1 for eligible, _, general in steps
                                   if eligible and general)
         # box descents take support-kept tries, at s and at a stage's
-        # sparsity and when they backtrack; the capped simplex never does
+        # sparsity and when they backtrack; every capped-simplex descent
+        # takes them too
         for geom in Geometry:
             for kind in ("box", "box backtracks", "stage sp=4"):
                 assert shortcut[f"{geom.value} {kind}"] > 0
-        assert all(shortcut[label] == 0 for label in results
+        assert all(shortcut[label] > 0 for label in results
                    if "simplex" in label)
-        # an entrant that displaces the support makes a step fall back
+        # an entrant that displaces the support makes a step fall back, and
+        # so does one that enters a capped-simplex support
         assert fallback["beltway box"] > 0
+        for geom in Geometry:
+            assert fallback[f"{geom.value} simplex dense"] > 0
         for label, inst, x0, *_ in cases:
             if label.endswith("simplex dense"):
                 # starts on the FFT paths and ends on the pair forward map
