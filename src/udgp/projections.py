@@ -16,12 +16,20 @@ Each set also has a support-kept entry point, `sparse_box_kept` and
 `capped_simplex_kept`, for the tries of one projected-gradient step
 from an iterate x with support S: a try whose projection provably keeps
 S, or that no bin off S enters, is formed from S's entries and the best
-entrant's without the full projection, and equals it bit for bit.
+entrant's without the full projection, and equals it bit for bit.  A
+kept capped-simplex try takes each clipped sum in one n-length pass and
+first checks the bracket its thread settled last, so most cost O(|S|)
+work plus two such sums.
 """
 
 from __future__ import annotations
 
+import threading
+from functools import partial
+
 import numpy as np
+
+_memo = threading.local()  # per thread: the last kept try's bracket, on S
 
 
 def project_sparse_box(z, s: int) -> np.ndarray:
@@ -64,9 +72,10 @@ def sparse_box_kept(x, grad, support, g_b, s: int):
     S must miss at least one bin, and g_b is the least grad off S.
     Returns None unless S holds s bins, and otherwise a function of tau
     that gives (project_sparse_box(x - tau * grad, s), S) when that
-    projection provably keeps S, and None when it may not.  With z = x - tau * grad on S, S is kept when z_b = -tau * g_b, the
-    largest z off S, is at most 1, every z on S is positive, and the
-    smallest gain on S exceeds z_b's.  The projection is then min(z, 1)
+    projection provably keeps S, and None when it may not.  With
+    z = x - tau * grad on S, S is kept when z_b = -tau * g_b, the largest
+    z off S, is at most 1, every z on S is positive, and the smallest
+    gain on S exceeds z_b's.  The projection is then min(z, 1)
     on S and zero off it.  Each value is computed by the same
     floating-point operations as through `project_sparse_box`, so the two
     agree bit for bit.
@@ -122,7 +131,8 @@ def capped_simplex_with_multiplier(z, s: int) -> tuple[np.ndarray, float]:
     whose sum reaches s, or the last index when none does (s = n with the
     sum at the last breakpoint rounded just under n), and lo = hi - 1.
     This search finds the same pair of values and applies the same
-    interpolation, so x and lam are the bisection's bit for bit.
+    interpolation (`_interpolate`), so x and lam are the bisection's bit
+    for bit.
 
     Returns (x, lam); lam is what the KKT sign conditions are stated in
     terms of, which the test suite checks directly.
@@ -136,33 +146,6 @@ def capped_simplex_with_multiplier(z, s: int) -> tuple[np.ndarray, float]:
     if s < 1:
         raise ValueError(f"sum target must be >= 1, got {s}")
 
-    k = min(n, 8 * s)
-    part = np.partition(z, n - k - 1) if k < n else z
-    while True:
-        t = part[n - k:]
-        c = -part[n - k - 1] if k < n else None
-        # each t_j + c >= 0, so only the cap at 1 clips t's sum at c
-        if c is None or np.minimum(t + c, 1.0).sum() >= s:
-            lam = _settle(z, s, t, c)
-            if lam is not None:
-                return np.clip(z + lam, 0.0, 1.0), lam
-        k = min(n, 4 * k)
-        part = np.sort(part)  # one sort serves every wider k
-
-
-def _settle(z, s: int, t: np.ndarray, c: float | None) -> float | None:
-    """The multiplier lam of z's capped-simplex projection, bracketed
-    among the breakpoints of t, entries of z, below c, then c; or None if
-    z's clipped sum at c falls short of s.  c = None brackets among all of
-    t's breakpoints, t being all of z.
-
-    Every entry of z not in t must be at most -c, so that below c it
-    clips to 0 and the breakpoints searched are the leading entries of
-    all 2n sorted ones (see `capped_simplex_with_multiplier`).  The sums
-    are taken over all of z, whose pairwise summation depends on where
-    the positive entries sit, so lam is the bisection's bit for bit.
-    """
-
     def cap_sum(lam: float) -> float:
         # min(max(.)) is clip up to the sign of a zero, which no sum of
         # these nonnegative terms can tell apart
@@ -171,6 +154,36 @@ def _settle(z, s: int, t: np.ndarray, c: float | None) -> float | None:
         np.minimum(v, 1.0, out=v)
         return float(v.sum())
 
+    k = min(n, 8 * s)
+    part = np.partition(z, n - k - 1) if k < n else z
+    while True:
+        t = part[n - k:]
+        c = -part[n - k - 1] if k < n else None
+        # each t_j + c >= 0, so only the cap at 1 clips t's sum at c
+        if c is None or np.minimum(t + c, 1.0).sum() >= s:
+            bracket = _settle(cap_sum, s, t, c)
+            if bracket is not None:
+                lam = _interpolate(bracket, s)
+                return np.clip(z + lam, 0.0, 1.0), lam
+        k = min(n, 4 * k)
+        part = np.sort(part)  # one sort serves every wider k
+
+
+def _settle(cap_sum, s: int, t: np.ndarray,
+            c: float | None) -> tuple | None:
+    """The bracket (b_lo, s_lo, b_hi, s_hi) of z's capped-simplex
+    multiplier: the bisection's two breakpoints among those of t, entries
+    of z, below c, then c, and cap_sum at each; or None if z's clipped sum
+    at c falls short of s.  c = None brackets among all of t's
+    breakpoints, t being all of z.
+
+    cap_sum(lam) is sum(clip(z + lam, 0, 1)) over all of z, whose
+    pairwise summation depends on where the positive entries sit.  Every
+    entry of z not in t must be at most -c, so that below c it clips to 0
+    and the breakpoints searched are the leading entries of all 2n sorted
+    ones (see `capped_simplex_with_multiplier`).  Then the bracket is the
+    bisection's bit for bit.
+    """
     starts = -t
     starts.sort()
     both = np.concatenate([starts, starts + 1.0])  # -t_j, then 1 - t_j
@@ -200,10 +213,17 @@ def _settle(z, s: int, t: np.ndarray, c: float | None) -> float | None:
         hi, s_hi = max(1, int(bp.searchsorted(bp[lo], "left"))), s_lo
         lo = hi - 1
         s_lo = cap_sum(bp[lo])
+    return bp[lo], s_lo, bp[hi], s_hi
+
+
+def _interpolate(bracket, s: int) -> float:
+    """The multiplier at which the clipped sum, linear across the bracket
+    (b_lo, s_lo, b_hi, s_hi), reaches s; b_lo if the two sums tie."""
+    b_lo, s_lo, b_hi, s_hi = bracket
     if s_hi <= s_lo:
-        return float(bp[lo])
+        return float(b_lo)
     frac = (s - s_lo) / (s_hi - s_lo)
-    return float(bp[lo] + frac * (bp[hi] - bp[lo]))
+    return float(b_lo + frac * (b_hi - b_lo))
 
 
 def capped_simplex_kept(x, grad, support, g_b, s: int):
@@ -216,29 +236,107 @@ def capped_simplex_kept(x, grad, support, g_b, s: int):
     off S turns positive in it, and None otherwise.  With
     z = x - tau * grad, the largest z off S is z_b = -tau * g_b, and below
     its breakpoint c = -z_b every bin off S clips to 0, so the multiplier
-    is bracketed among S's breakpoints below c, then c (`_settle`), or
-    else the try is declined.  At that multiplier lam no bin off S is
-    positive when z_b + lam <= 0, and the projection is then
-    clip(z + lam, 0, 1) on S and zero off it; its support is the bins of
-    S that stay positive.  Each value is computed by the same
-    floating-point operations as through `project_capped_simplex`, so the
-    two agree bit for bit.
+    is bracketed among S's breakpoints below c, then c, or else the try is
+    declined.  At that multiplier lam no bin off S is positive when
+    z_b + lam <= 0, and the projection is then clip(z + lam, 0, 1) on S
+    and zero off it; its support is the bins of S that stay positive.
+
+    A try works on t, z on S, alone.  Each clipped sum is `_kept_sum`'s
+    one pass, and the bracket is the last kept try's, if this thread
+    settled one and it checks out at t (`_hinted`), and otherwise
+    `_settle`'s; either way it is the bisection's.  Each value is computed
+    by the same floating-point operations as through
+    `project_capped_simplex`, so the two agree bit for bit.
     """
+    x_s, g_s, n = x[support], grad[support], x.size
 
     def tried(tau):
-        z = x - tau * grad
+        t = x_s - tau * g_s  # z on S
         z_b = 0.0 - tau * g_b  # as z's entries off S are formed
-        t = z[support]
-        lam = _settle(z, s, t, -z_b)
-        if lam is None or z_b + lam > 0.0:
+        c = -z_b
+        x_next = np.zeros(n)  # zero off S, where every lam tried is <= c
+        cap_sum = partial(_kept_sum, x_next, support, t)
+        u = -t
+        bps = np.concatenate([u, u + 1.0])  # S's -t_j, then 1 - t_j
+        bracket = _hinted(getattr(_memo, "names", None), bps, c, s, cap_sum)
+        if bracket is None:
+            bracket = _settle(cap_sum, s, t, c)
+            if bracket is None:
+                return None
+            _memo.names = _name(bracket[0], bps, c), _name(bracket[2], bps, c)
+        lam = _interpolate(bracket, s)
+        if z_b + lam > 0.0:
             return None
-        # clip(t + lam, 0, 1): no z on S is -0.0, so neither is t + lam,
-        # and min(max(.)) returns clip's bits
-        on = t + lam
-        np.maximum(on, 0.0, out=on)
-        np.minimum(on, 1.0, out=on)
-        x_next = np.zeros(z.size)
-        x_next[support] = on
+        # no z on S is -0.0, so neither is t + lam, and min(max(.))
+        # returns clip's bits
+        on = _clip_on(x_next, support, t, lam)
         return x_next, support[on != 0.0]
 
     return tried
+
+
+def _clip_on(buf, support, t, lam: float) -> np.ndarray:
+    """clip(t + lam, 0, 1), also written into buf on S."""
+    on = t + lam
+    np.maximum(on, 0.0, out=on)
+    np.minimum(on, 1.0, out=on)
+    buf[support] = on
+    return on
+
+
+def _kept_sum(buf, support, t, lam: float) -> float:
+    """sum(clip(z + lam, 0, 1)) for a z that is t on S and whose entries
+    off S clip to +-0 at lam, in one n-length pass.
+
+    clip(t + lam, 0, 1) is written into buf, which is zero off S, and buf
+    is summed.  Its entries differ from clip(z + lam, 0, 1)'s at most in
+    the sign of a zero, which no sum of nonnegative terms can tell apart,
+    and NumPy's pairwise sum adds them in the same positions, so the sum
+    is the n-length one bit for bit; a sum over S alone would group them
+    otherwise.
+    """
+    _clip_on(buf, support, t, lam)
+    return float(buf.sum())
+
+
+def _hinted(names, bps, c: float, s: int, cap_sum) -> tuple | None:
+    """The bracket (b_lo, s_lo, b_hi, s_hi) that names, this thread's last
+    kept bracket, gives at S's breakpoints bps and c, if it is the
+    bisection's; otherwise None.
+
+    Each name is (j, end), breakpoint -t_j of S's entry j, or 1 - t_j if
+    end, or None for c.  The two are the bisection's bracket exactly when
+    b_lo < b_hi <= c, no breakpoint lies strictly between them, and
+    cap_sum(b_lo) < s <= cap_sum(b_hi): they are then consecutive among
+    S's breakpoints below c, then c, and b_hi is the first of them whose
+    sum reaches s.  A name from a support with more entries may fall
+    outside S.
+    """
+    if names is None:
+        return None
+    k, ends = bps.size // 2, []
+    for name in names:
+        if name is None:
+            ends.append(c)
+        elif name[0] < k:
+            ends.append(bps[name[0] + k * name[1]])
+        else:
+            return None
+    b_lo, b_hi = ends
+    if not b_lo < b_hi <= c or np.count_nonzero((bps > b_lo)
+                                                & (bps < b_hi)):
+        return None
+    s_lo = cap_sum(b_lo)
+    if s_lo >= s:
+        return None
+    s_hi = cap_sum(b_hi)
+    return (b_lo, s_lo, b_hi, s_hi) if s_hi >= s else None
+
+
+def _name(b, bps, c: float) -> tuple[int, bool] | None:
+    """The name `_hinted` reads b back from: None if b is c, else (j, end)
+    of the first of S's breakpoints bps equal to b."""
+    if b == c:
+        return None
+    end, j = divmod(int(np.flatnonzero(bps == b)[0]), bps.size // 2)
+    return j, bool(end)

@@ -54,8 +54,13 @@ when the shortcut took every try, and speedup is general_us over
 short_us.  forward_us times the pair forward map at the iterate, and
 iter_us one whole support-kept iteration as `_descend` runs it: the
 gradient from the carried residual, then the step handed the support.
-Each call after the first finds the support's `_plan` kept.  A row
-reads DIFFERS when the two calls return Steps that differ in any
+Each call after the first finds the support's `_plan` kept.  On the
+`simplex` rows, try_us times one kept try alone, the function of tau
+that `capped_simplex_kept` returns, called at _GAMMA after a first call
+has left its bracket in the thread's memo, as the next step's try finds
+it; sums counts the clipped sums (`_kept_sum`) that one such try takes,
+2 when the memo's bracket checks out.  `box` rows print - in both.  A
+row reads DIFFERS when the two calls return Steps that differ in any
 field.
 
 Like `tests/panel_fingerprint.py`, the script pins the BLAS and OpenMP
@@ -163,10 +168,11 @@ def armijo_rows(calls: int):
     from functools import partial
 
     import numpy as np
-    from udgp import Geometry, SolverConfig, generate_instance, solver
+    from udgp import (Geometry, SolverConfig, generate_instance, projections,
+                      solver)
 
     yield ("set     geometry   s     n  k proj  short_us general_us speedup "
-           "forward_us   iter_us")
+           "forward_us   iter_us   try_us sums")
     for kind, geometry, s, n in ARMIJO_CELLS:
         name = PROJECTIONS[kind]
         inst = generate_instance(Geometry(geometry), s, n, 0.0, 90000)
@@ -193,31 +199,40 @@ def armijo_rows(calls: int):
         general = median_us(step, calls)
         forward = median_us(lambda: inst.op._forward(x, support), calls)
         whole = median_us(iteration, calls)
+        kept = "       -    -"
+        if kind == "simplex":
+            g_b = np.minimum.reduce(grad, where=inst.op._plan(support).off,
+                                    initial=np.inf)
+            tried = partial(projections.capped_simplex_kept(
+                x, grad, support, g_b, s), solver._GAMMA)
+            try_us = median_us(tried, calls)
+            kept = (f"{try_us:8.1f} "
+                    f"{calls_of(projections, '_kept_sum', tried):4d}")
         a, b = step(support), step()
         same = (a.x.tobytes() == b.x.tobytes() and a.r.tobytes() == b.r.tobytes()
                 and (a.f, a.tau, a.t, a.step_sq) == (b.f, b.tau, b.t, b.step_sq)
                 and np.array_equal(a.support, b.support))
         yield (f"{kind:7} {geometry:8} {s:3d} {n:5d} {support.size:2d} "
-               f"{projections(solver, name, lambda: step(support)):4d} "
+               f"{calls_of(solver, name, lambda: step(support)):4d} "
                f"{short:9.1f} {general:10.1f} {general / short:6.2f}x "
-               f"{forward:10.1f} {whole:9.1f} "
+               f"{forward:10.1f} {whole:9.1f} {kept} "
                f"{'ok' if same else 'DIFFERS'}")
 
 
-def projections(solver, name, fn) -> int:
-    """The projections fn() runs through `solver.<name>`, counted by
-    patching that name."""
-    original, calls = getattr(solver, name), []
+def calls_of(module, name, fn) -> int:
+    """The calls fn() makes through `module.<name>`, counted by patching
+    that name."""
+    original, calls = getattr(module, name), []
 
-    def counted(z, s):
-        calls.append(s)
-        return original(z, s)
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
 
-    setattr(solver, name, counted)
+    setattr(module, name, counted)
     try:
         fn()
     finally:
-        setattr(solver, name, original)
+        setattr(module, name, original)
     return len(calls)
 
 

@@ -8,6 +8,7 @@ import pytest
 from oracles import capped_simplex_bisection, project_sparse_box_two_scan
 from udgp import (capped_simplex_with_multiplier, project_capped_simplex,
                   project_sparse_box)
+from udgp.projections import _kept_sum
 
 
 def brute_force_sparse_box_cost(z, s):
@@ -227,3 +228,45 @@ def test_indicator_comes_back_bit_for_bit(s, n):
         x[support] = 1.0
         np.testing.assert_array_equal(project_sparse_box(x, s), x)
         np.testing.assert_array_equal(project_capped_simplex(x, s), x)
+
+
+@pytest.mark.parametrize("n", [999, 1000, 1001, 4097])
+def test_kept_sum_is_the_n_length_sum_bit_for_bit(n):
+    """A kept capped-simplex try's clipped sum over a buffer zero off S is
+    sum(clip(z + lam, 0, 1)) over all n bins, bit for bit, whenever every
+    z off S is at most -lam: at S's breakpoints and at c, the largest
+    multiplier a kept try settles with.  The sizes straddle NumPy's
+    pairwise-sum blocks, supports reach bins 0 and n - 1, and in every
+    third trial z is -0.0 off S with lam = c = -0.0, where clip gives
+    -0.0 there.  A sum over S's entries alone groups its terms otherwise
+    and misses."""
+    rng = np.random.default_rng(n)
+    signed_zeros = 0
+    for trial in range(60):
+        edges = [[], [0], [n - 1], [0, n - 1]][trial % 4]
+        support = np.union1d(rng.choice(n, int(rng.integers(1, 60)),
+                                        replace=False),
+                             np.array(edges, dtype=int))
+        t = rng.uniform(-0.5, 1.5, support.size)
+        off = np.ones(n, dtype=bool)
+        off[support] = False
+        if trial % 3 == 0:
+            c, z_off = -0.0, np.full(n, -0.0)
+        else:
+            c = float(rng.uniform(0.0, 2.0))
+            z_off = -c - rng.exponential(0.5, n) * (rng.random(n) < 0.9)
+        z = np.where(off, z_off, 0.0)
+        z[support] = t
+        buf = np.zeros(n)
+        for lam in np.r_[-t, 1.0 - t, c]:
+            if lam > c:
+                continue
+            want = np.clip(z + lam, 0.0, 1.0)
+            signed_zeros += np.count_nonzero(np.signbit(want[off]))
+            got = np.float64(_kept_sum(buf, support, t, lam)).tobytes()
+            assert got == want.sum().tobytes()
+            # as the full search sums, with min(max(.)) in place of clip
+            assert got == np.minimum(np.maximum(z + lam, 0.0),
+                                     1.0).sum().tobytes()
+            assert not buf[off].any()
+    assert signed_zeros > 0

@@ -1,6 +1,8 @@
 """Hard-thresholding solver: line search, stopping, diagnostics, restarts."""
 
 import math
+import sys
+import threading
 from dataclasses import fields, replace
 from functools import partial
 
@@ -17,7 +19,7 @@ from udgp import (Geometry, LagOperator, NumericError, SolverConfig,
                   generate_instance, iht_solve, l1pgd_solve, misfit_budget,
                   multi_start, project_capped_simplex, project_sparse_box,
                   score_recovery)
-from udgp import solver
+from udgp import projections, solver
 from udgp.cli import BENCH_NOISE
 from udgp.instances import Instance
 from udgp.solver import _complete, _descend, _entries, _repair
@@ -265,12 +267,38 @@ def _assert_matches_bisection(got, x, grad, f_x, inst, s, tau0):
     assert (got.f, got.tau, got.t) == (f_ref, tau, t)
 
 
+def _spy_brackets(monkeypatch):
+    """Record each bracket search of a kept capped-simplex try: True for a
+    bracket `projections._hinted` took from the memo, False for each
+    `projections._settle` sweep of a kept try."""
+    found = []
+    hinted, settle = projections._hinted, projections._settle
+
+    def recorded_hint(*args):
+        bracket = hinted(*args)
+        if bracket is not None:
+            found.append(True)
+        return bracket
+
+    def recorded_settle(cap_sum, s, t, c):
+        if getattr(cap_sum, "func", None) is projections._kept_sum:
+            found.append(False)
+        return settle(cap_sum, s, t, c)
+
+    monkeypatch.setattr(projections, "_hinted", recorded_hint)
+    monkeypatch.setattr(projections, "_settle", recorded_settle)
+    return found
+
+
 class TestSupportKeptSimplexStep:
     """On the capped simplex, `armijo_step` settles a try that no bin off
     x's support S enters among S's breakpoints and the best entrant's; its
     Step is the one the general path and the bisection reference return,
     bit for bit, and every try it cannot settle that way falls back to
-    the general path."""
+    the general path.  A kept try first checks the bracket of the last
+    kept try its thread settled, named on that try's support, and takes
+    it only when it is the bisection's at the new try; any other hint
+    falls back to `_settle`'s sweep, whose bracket the memo then keeps."""
 
     @pytest.mark.parametrize("geom", list(Geometry))
     def test_matches_the_general_path_on_random_iterates(self, geom,
@@ -394,6 +422,177 @@ class TestSupportKeptSimplexStep:
                                                   4.0))
         _assert_matches_bisection(got, x, grad, f_x, inst, 2, 4.0)
         np.testing.assert_array_equal(got.support, [5, 10, 15])
+
+    @pytest.mark.parametrize("geom", list(Geometry))
+    def test_consecutive_descent_steps_reuse_the_bracket(self, geom,
+                                                         monkeypatch):
+        """Along 400 steps of the baseline's final descent, most kept tries
+        take the memo's bracket, and every step is the bisection
+        reference's."""
+        inst = generate_instance(geom, 10, 1000, 0.0, 90000)
+        project = partial(project_capped_simplex, s=inst.s)
+        x0 = project(_grown_start(inst))
+        found = _spy_brackets(monkeypatch)
+        steps = _spy_tries(monkeypatch)
+        step = solver.armijo_step
+        checked = []
+
+        def checked_step(x, grad, f_x, instance, project, tau0, support=None):
+            got = step(x, grad, f_x, instance, project, tau0, support)
+            _assert_matches_bisection(got, x, grad, f_x, instance, inst.s,
+                                      tau0)
+            checked.append(got)
+            return got
+
+        monkeypatch.setattr(solver, "armijo_step", checked_step)
+        result = _descend(inst, x0, project, 400, solver._GAMMA,
+                          solver._EPSILON)
+        assert len(checked) == result.iterations == 400
+        # a kept try whose multiplier lets an entrant in is declined
+        assert len(found) >= sum(short for _, short, _ in steps) > 300
+        assert sum(found) >= 0.75 * len(found) and not all(found)
+
+    @pytest.mark.parametrize("grad_s, names, hit", [
+        pytest.param((-0.3, -0.1, 0.2), ((2, False), (0, True)), True,
+                     id="the last bracket"),
+        pytest.param((-0.3, -0.1, 0.2), ((1, False), (0, True)), False,
+                     id="a breakpoint inside"),
+        pytest.param((-0.3, -0.1, 0.2), ((0, True), (1, True)), False,
+                     id="both sums reach s"),
+        pytest.param((-0.3, -0.1, 0.2), ((2, False), None), False,
+                     id="c above breakpoints"),
+        pytest.param((-0.3, -0.1, 0.2), ((25, False), (3, True)), False,
+                     id="entries outside S"),
+        pytest.param((-0.3, -0.1, -0.1), ((1, False), (2, False)), False,
+                     id="tied breakpoints"),
+        pytest.param((-0.3, -0.1, -0.1), ((2, False), (0, True)), True,
+                     id="the tie's twin")])
+    def test_hints(self, grad_s, names, hit, monkeypatch):
+        """At tau = 1 from x = 0.5 on bins 5, 10 and 15, with grad 1 off
+        them (c = 1) and s = 2: with grad (-0.3, -0.1, 0.2) on them,
+        t = (0.8, 0.6, 0.3), and the sums at the sorted breakpoints -0.8,
+        -0.6, -0.3, 0.2, 0.4 and 0.7 are 0, 0.2, 0.8, 2.3, 2.7 and 3, so
+        the bracket is -t_2 and 1 - t_0.  A hint across -0.3, one above
+        the bracket, or one up to c holds a breakpoint or has both sums
+        at least s, and would interpolate another multiplier; a hint
+        named on a 30-bin support reaches past S's entries.  With grad
+        (-0.3, -0.1, -0.1), t_1 = t_2 = 0.6 tie, and a hint between them
+        is empty, while either names the bracket's lower end."""
+        found = _spy_brackets(monkeypatch)
+        steps = _spy_tries(monkeypatch)
+        monkeypatch.setattr(projections._memo, "names", names, raising=False)
+        inst = small_instance(s=3, n=20)
+        x, grad = np.zeros(20), np.ones(20)
+        x[[5, 10, 15]] = 0.5
+        grad[[5, 10, 15]] = grad_s
+        project = partial(project_capped_simplex, s=2)
+        got = solver.armijo_step(x, grad, 1e6, inst, project, 1.0,
+                                 np.flatnonzero(x))
+        assert steps == [(True, 1, 0)] and found == [hit]
+        _assert_same_step(got, solver.armijo_step(x, grad, 1e6, inst, project,
+                                                  1.0))
+        _assert_matches_bisection(got, x, grad, 1e6, inst, 2, 1.0)
+        lower = (1, False) if grad_s[2] < 0 else (2, False)
+        assert projections._memo.names == (names if hit
+                                           else (lower, (0, True)))
+
+    def test_bracket_at_c_is_reused(self, monkeypatch):
+        """The forced try whose multiplier is the best entrant's
+        breakpoint c keeps its bracket's upper end as c, and the same
+        try again takes that bracket from the memo."""
+        found = _spy_brackets(monkeypatch)
+        inst = small_instance(s=3, n=20)
+        x, grad = np.zeros(20), np.ones(20)
+        x[[5, 10, 15]] = 0.5
+        grad[[5, 10, 15, 2]] = [-0.25, -0.25, 0.75, 0.25]
+        project = partial(project_capped_simplex, s=2)
+        monkeypatch.delattr(projections._memo, "names", raising=False)
+        first, again = (solver.armijo_step(x, grad, 1e6, inst, project, 1.0,
+                                           np.flatnonzero(x))
+                        for _ in range(2))
+        assert found == [False, True] and projections._memo.names[1] is None
+        _assert_same_step(again, first)
+        _assert_matches_bisection(again, x, grad, 1e6, inst, 2, 1.0)
+
+    def test_hint_from_another_support(self, monkeypatch):
+        """A try on bins 3, 8 and 12 with t = (0.3, 0.8, 0.6) leaves
+        (-t_0, 1 - t_1) in the memo; on bins 5, 10 and 15 with
+        t = (0.8, 0.6, 0.3) those name -0.8 and 0.4, across three
+        breakpoints, and the try falls back."""
+        found = _spy_brackets(monkeypatch)
+        inst = small_instance(s=3, n=20)
+        project = partial(project_capped_simplex, s=2)
+        for bins, grad_s in (([3, 8, 12], [0.2, -0.3, -0.1]),
+                             ([5, 10, 15], [-0.3, -0.1, 0.2])):
+            x, grad = np.zeros(20), np.ones(20)
+            x[bins] = 0.5
+            grad[bins] = grad_s
+            got = solver.armijo_step(x, grad, 1e6, inst, project, 1.0,
+                                     np.flatnonzero(x))
+            _assert_matches_bisection(got, x, grad, 1e6, inst, 2, 1.0)
+        assert found[-1] is False
+        assert projections._memo.names == ((2, False), (0, True))
+
+    def test_threads_alternating_supports_get_the_serial_steps(
+            self, monkeypatch):
+        """Steps of two final descents on one instance, taken by four
+        threads, more than a small machine's cores: two follow one descent
+        each, whose memo the next step reuses, and two alternate between
+        the descents, so every step meets the other support's bracket and
+        the operator's plan of the other support."""
+        inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 90000)
+        project = partial(project_capped_simplex, s=inst.s)
+        states = []
+        step = solver.armijo_step
+
+        def recorded(x, grad, f_x, instance, project, tau0, support=None):
+            states.append((x, grad, f_x, tau0, support))
+            return step(x, grad, f_x, instance, project, tau0, support)
+
+        x0s = [project(_grown_start(inst, start=start)) for start in (0, 1)]
+        monkeypatch.setattr(solver, "armijo_step", recorded)
+        descents = []
+        for x0 in x0s:
+            _descend(inst, x0, project, 60, solver._GAMMA, solver._EPSILON)
+            # past the first steps, which hold every bin
+            descents.append(states[10:])
+            assert all(0 < st[-1].size < inst.n for st in descents[-1])
+            states = []
+        monkeypatch.undo()
+        a, b = descents
+        orders = [a, b, [s for pair in zip(a, b) for s in pair],
+                  [s for pair in zip(b, a) for s in pair]]
+
+        def steps(order):
+            return [solver.armijo_step(x, grad, f_x, inst, project, tau0,
+                                       support)
+                    for x, grad, f_x, tau0, support in order]
+
+        serial = [steps(order) for order in orders]
+        answers = [None] * len(orders)
+
+        def run(slot):
+            answers[slot] = [steps(orders[slot]) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=run, args=(slot,))
+                       for slot in range(len(orders))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, got in zip(serial, answers):
+            assert len(got) == 3
+            for round_ in got:
+                for step_got, step_want in zip(round_, want, strict=True):
+                    _assert_same_step(step_got, step_want)
+
+
 
 def _dense_start(n, s):
     # dense and uneven: a uniform start is stationary on the circle
