@@ -12,8 +12,7 @@ from .instances import (Instance, RecoveryReport, bin_distances,
                         instance_to_json, load_instance, positions_to_bins,
                         save_instance, score_recovery)
 from .model import Geometry, LagOperator
-from .projections import (capped_simplex_with_multiplier,
-                          project_capped_simplex, project_sparse_box)
+from .projections import project_capped_simplex, project_sparse_box
 from .solver import (BacktrackExhausted, NumericError, SolveResult,
                      SolverConfig, StopReason, anchor_bins, armijo_step,
                      binary_misfit, iht_solve, l1pgd_solve, misfit_budget,
@@ -36,7 +35,6 @@ __all__ = [
     "bin_distances",
     "binary_misfit",
     "bins_to_positions",
-    "capped_simplex_with_multiplier",
     "extract_positions",
     "generate_instance",
     "iht_solve",

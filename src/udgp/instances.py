@@ -268,11 +268,22 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    """Parse one record, rejecting any whose n, s or seed is not an
-    integer, whose xi, y or true positions are not JSON numbers, whose xi
-    is not finite and nonnegative, whose histogram no s points make or
-    whose true positions are not s distinct grid bins of the unit segment
-    or circle."""
+    """Parse one record, rejecting it with a ValueError unless
+
+    * it is a JSON object with a known geometry;
+    * n, s and seed are integers, xi a number, and y and true_positions
+      lists of numbers, all of them JSON numbers that fit a float;
+    * xi is finite and nonnegative;
+    * y holds n - 1 counts and true_positions s entries, with 2 <= s <= n;
+    * every count is a nonnegative integer, the counts sum to s(s-1)/2 on
+      the segment or s(s-1) on the circle, and on the circle the counts
+      at lags d and n - d match;
+    * the true positions lie in s distinct grid bins of the unit segment
+      or circle;
+    * at xi = 0, the lag counts of those bins are y.
+
+    A missing field raises KeyError.  At xi > 0 nothing checks that any s
+    points make y."""
     rec = json.loads(text)
     if not isinstance(rec, dict):
         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
@@ -315,8 +326,13 @@ def instance_from_json(text: str) -> Instance:
     if not on_unit.all() or np.unique(positions_to_bins(pos, n, geometry)).size < s:
         raise ValueError("true positions must lie in distinct grid bins of "
                          "the unit segment or circle")
-    return Instance(geometry=geometry, n=n, s=s, y=y, true_positions=pos,
-                    noise_sigma=xi, seed=seed)
+    instance = Instance(geometry=geometry, n=n, s=s, y=y, true_positions=pos,
+                        noise_sigma=xi, seed=seed)
+    if xi == 0.0 and not np.array_equal(
+            np.rint(instance.op.forward(instance.true_indicator())), y):
+        raise ValueError("at xi = 0 the true positions' lag counts must "
+                         "equal the histogram")
+    return instance
 
 
 def save_instance(instance: Instance, path) -> None:

@@ -6,9 +6,8 @@
   minimizer obtained by breaking ranking ties toward the lowest index.
 * `project_capped_simplex`: the capped simplex {x in [0,1]^n : sum x = s},
   used by the l1 projected-gradient baseline.  Convex, unique minimizer.
-  Its multiplier is bracketed between two sorted breakpoints found among
-  the few largest entries of z, since the baseline's iterates hold a few
-  dozen nonzeros; because the clipped sum as computed is monotone in the
+  Its multiplier is bracketed between two consecutive sorted breakpoints
+  of z; because the clipped sum as computed is monotone in the
   multiplier, the answer is bit for bit that of bisecting all 2n
   breakpoints.
 
@@ -99,31 +98,16 @@ def sparse_box_kept(x, grad, support, g_b, s: int):
 
 
 def project_capped_simplex(z, s: int) -> np.ndarray:
-    """Project z onto {x in [0,1]^n : sum(x) = s}."""
-    x, _ = capped_simplex_with_multiplier(z, s)
-    return x
-
-
-def capped_simplex_with_multiplier(z, s: int) -> tuple[np.ndarray, float]:
-    """Capped-simplex projection plus the shift multiplier it used.
+    """Project z onto {x in [0,1]^n : sum(x) = s}.
 
     The minimizer has the form x_j = clip(z_j + lam, 0, 1) where lam makes
     the coordinate sum equal s.  The sum is piecewise linear and
     nondecreasing in lam with breakpoints at -z_j and 1 - z_j, so lam is
     interpolated between the two consecutive sorted breakpoints that
     bracket s: an exact search with no iterative tolerance (Wang & Lu,
-    "Projection onto the capped simplex", 2015).
-
-    The bracket is sought among t, the k largest entries of z, with
-    k = 8s at first.  Below c = -(the (k+1)-th largest entry) no other
-    coordinate is positive, so t's breakpoints below c, then c, are the
-    leading entries of all 2n sorted breakpoints.  If t's clipped sum at c
-    is short of s, k grows fourfold, up to n.  Otherwise t's sum at each
-    of these breakpoints is estimated by a sweep over their slopes, and
-    the first whose estimate reaches s is where the search starts; the
-    computed sum over all of z, cap_sum, then settles the bracket
-    (`_settle`), stepping up while it is short of s and down while the
-    breakpoint below also reaches s.
+    "Projection onto the capped simplex", 2015).  `_settle` sorts all 2n
+    breakpoints, estimates the sum at each by a sweep over their slopes,
+    and settles the bracket with the computed sum, cap_sum.
 
     cap_sum as computed is nondecreasing in lam: float addition, clip
     and NumPy's fixed pairwise summation are each monotone.  So bisecting
@@ -131,11 +115,7 @@ def capped_simplex_with_multiplier(z, s: int) -> tuple[np.ndarray, float]:
     whose sum reaches s, or the last index when none does (s = n with the
     sum at the last breakpoint rounded just under n), and lo = hi - 1.
     This search finds the same pair of values and applies the same
-    interpolation (`_interpolate`), so x and lam are the bisection's bit
-    for bit.
-
-    Returns (x, lam); lam is what the KKT sign conditions are stated in
-    terms of, which the test suite checks directly.
+    interpolation (`_interpolate`), so x is the bisection's bit for bit.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
@@ -154,19 +134,8 @@ def capped_simplex_with_multiplier(z, s: int) -> tuple[np.ndarray, float]:
         np.minimum(v, 1.0, out=v)
         return float(v.sum())
 
-    k = min(n, 8 * s)
-    part = np.partition(z, n - k - 1) if k < n else z
-    while True:
-        t = part[n - k:]
-        c = -part[n - k - 1] if k < n else None
-        # each t_j + c >= 0, so only the cap at 1 clips t's sum at c
-        if c is None or np.minimum(t + c, 1.0).sum() >= s:
-            bracket = _settle(cap_sum, s, t, c)
-            if bracket is not None:
-                lam = _interpolate(bracket, s)
-                return np.clip(z + lam, 0.0, 1.0), lam
-        k = min(n, 4 * k)
-        part = np.sort(part)  # one sort serves every wider k
+    lam = _interpolate(_settle(cap_sum, s, z, None), s)
+    return np.clip(z + lam, 0.0, 1.0)
 
 
 def _settle(cap_sum, s: int, t: np.ndarray,
@@ -180,9 +149,9 @@ def _settle(cap_sum, s: int, t: np.ndarray,
     cap_sum(lam) is sum(clip(z + lam, 0, 1)) over all of z, whose
     pairwise summation depends on where the positive entries sit.  Every
     entry of z not in t must be at most -c, so that below c it clips to 0
-    and the breakpoints searched are the leading entries of all 2n sorted
-    ones (see `capped_simplex_with_multiplier`).  Then the bracket is the
-    bisection's bit for bit.
+    and the breakpoints searched, t's below c and then c, are the leading
+    entries of all 2n sorted ones.  Then the bracket is the bisection's
+    bit for bit (see `project_capped_simplex`).
     """
     starts = -t
     starts.sort()

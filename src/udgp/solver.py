@@ -201,18 +201,15 @@ def armijo_step(x, grad, f_x, instance, project, tau0, support=None) -> Step:
     )
 
 
-def _fixed_point_residual(x, tau, instance, project) -> float:
-    """||x - project(x - tau * grad f(x))||, zero at a fixed point."""
-    g = instance.op.gradient(x, instance.y)
-    return float(np.linalg.norm(x - project(x - tau * g)))
-
-
 def _settled(result, instance, project) -> SolveResult:
     """result with its answer's fixed-point residual at its last step size
-    (`_GAMMA` if it took none), which only returned results pay for."""
+    tau (`_GAMMA` if it took none), ||x - project(x - tau * grad f(x))||,
+    zero at a fixed point, which only returned results pay for."""
     tau = float(result.step_size_trace[-1]) if result.iterations else _GAMMA
-    result.stationarity_residual = _fixed_point_residual(
-        result.x_final, tau, instance, project)
+    x = result.x_final
+    g = instance.op.gradient(x, instance.y)
+    result.stationarity_residual = float(
+        np.linalg.norm(x - project(x - tau * g)))
     return result
 
 

@@ -29,13 +29,13 @@ median microseconds per call of `project_sparse_box`,
 replaced.  It does so at two iterates x of the baseline's final descent:
 the grown iterate it starts from (row `grown`), and the iterate after at
 most 50 of its steps (row `step50`).  At the first the projection is
-positive on most coordinates, so the bracket search widens to all of z
-and costs about what the bisection does; by the second the iterate holds
-a few dozen nonzeros, as at most of a descent's steps.  The column pos
-counts the positive entries of the projection, and speedup is the
-bisection's time over the capped simplex's.  A row reads DIFFERS when
-the capped simplex returns an x or a multiplier other than the
-bisection's.
+positive on most coordinates; by the second the iterate holds a few
+dozen nonzeros, as at most of a descent's steps.  Either way the capped
+simplex sorts all 2n breakpoints of z once and settles its bracket with
+a few clipped sums, where the bisection takes about log2(2n).  The
+column pos counts the positive entries of the projection, and speedup
+is the bisection's time over the capped simplex's.  A row reads DIFFERS
+when the capped simplex returns an x other than the bisection's.
 
 The Armijo-step table: it grows start 0 of a noise-free instance with
 `_guided_start` and times one `armijo_step` at base step _GAMMA from an
@@ -136,9 +136,8 @@ def gradient_rows(calls: int):
 def projection_rows(calls: int):
     import numpy as np
     from oracles import capped_simplex_bisection
-    from udgp import (Geometry, SolverConfig, capped_simplex_with_multiplier,
-                      generate_instance, project_capped_simplex,
-                      project_sparse_box, solver)
+    from udgp import (Geometry, SolverConfig, generate_instance,
+                      project_capped_simplex, project_sparse_box, solver)
 
     yield "geometry   s     n x        pos   box_us simplex_us bisect_us speedup"
     for s, n in PROJECTION_SIZES:
@@ -154,9 +153,8 @@ def projection_rows(calls: int):
                 simplex = median_us(lambda: project(z), calls)
                 bisection = median_us(lambda: capped_simplex_bisection(z, s),
                                       calls)
-                x_new, lam_new = capped_simplex_with_multiplier(z, s)
-                x_old, lam_old = capped_simplex_bisection(z, s)
-                same = lam_new == lam_old and np.array_equal(x_new, x_old)
+                x_new = project(z)
+                same = np.array_equal(x_new, capped_simplex_bisection(z, s)[0])
                 yield (f"{geometry.value:8} {s:3d} {n:5d} {label:6} "
                        f"{np.count_nonzero(x_new):5d} {box:8.1f} "
                        f"{simplex:10.1f} {bisection:9.1f} "

@@ -13,11 +13,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import check_l_stationarity
-from udgp import (Geometry, SolverConfig, StopReason,
-                  capped_simplex_with_multiplier, extract_positions,
-                  generate_instance, multi_start, project_sparse_box,
-                  score_recovery, solver)
+from oracles import capped_simplex_bisection, check_l_stationarity
+from udgp import (Geometry, SolverConfig, StopReason, extract_positions,
+                  generate_instance, multi_start, project_capped_simplex,
+                  project_sparse_box, score_recovery, solver)
 from udgp.model import LagOperator
 
 NOISE_GRID = [0.0, 1e-5, 3e-5, 5e-5, 7e-5]
@@ -139,12 +138,14 @@ def test_criterion_05_projection_matches_brute_force():
 
 def test_criterion_06_capped_simplex_kkt():
     rng = np.random.default_rng(77)
-    worst_sum, worst_sign = 0.0, 0.0
+    worst_sum, worst_sign, identical = 0.0, 0.0, True
     for _ in range(1000):
         n = int(rng.integers(1, 30))
         s = int(rng.integers(1, n + 1))
         z = rng.uniform(-3.0, 3.0, n)
-        x, lam = capped_simplex_with_multiplier(z, s)
+        x = project_capped_simplex(z, s)
+        x_ref, lam = capped_simplex_bisection(z, s)
+        identical = identical and x.tobytes() == x_ref.tobytes()
         worst_sum = max(worst_sum, abs(float(x.sum()) - s))
         for j in range(n):
             if x[j] >= 1.0:
@@ -153,8 +154,9 @@ def test_criterion_06_capped_simplex_kkt():
                 worst_sign = max(worst_sign, z[j] + lam)
             else:
                 worst_sign = max(worst_sign, abs(x[j] - (z[j] + lam)))
-    ok = worst_sum <= 1e-10 and worst_sign <= 1e-9
-    _report(6, ok, f"capped-simplex: worst |sum-s|={worst_sum:.2e}, "
+    ok = identical and worst_sum <= 1e-10 and worst_sign <= 1e-9
+    _report(6, ok, f"capped-simplex: x equals the bisection's bit for bit: "
+                   f"{identical}, worst |sum-s|={worst_sum:.2e}, "
                    f"worst KKT violation={worst_sign:.2e}")
 
 

@@ -12,7 +12,7 @@ import pytest
 from udgp import (Geometry, LagOperator, NumericError, SolverConfig,
                   bins_to_positions, iht_solve, multi_start)
 from udgp.cli import main
-from udgp.instances import Instance, save_instance
+from udgp.instances import Instance, instance_to_json, save_instance
 
 
 def run(args):
@@ -202,6 +202,12 @@ class TestSolve:
         shared_bin = dict(off_segment, true_positions=[0.0, 0.1, 0.1, 0.7])
         rec = json.loads(instance_file.read_text())
         nan_noise = dict(rec, xi=float("nan"))
+        # at xi = 0 the counts must be the true positions' own: one count
+        # moved to an empty lag keeps the mass right but fails that
+        traded = dict(rec, y=list(rec["y"]))
+        d, e = rec["y"].index(1), rec["y"].index(0)
+        traded["y"][d] -= 1
+        traded["y"][e] += 1
         # not an object, or a non-numeric JSON type where numbers go; the
         # histogram's counts are all 0 or 1, so as booleans they sum right
         assert set(rec["y"]) == {0, 1}
@@ -215,11 +221,13 @@ class TestSolve:
         for i, text in enumerate(["{not json", json.dumps(single),
                                   json.dumps(counts), json.dumps(off_segment),
                                   json.dumps(shared_bin), json.dumps(nan_noise),
+                                  json.dumps(traded),
                                   *map(json.dumps, wrong_types)]):
             bad = tmp_path / f"bad{i}.json"
             bad.write_text(text)
             assert run(["solve", "--in", str(bad),
                         "--out", str(tmp_path / "r.json")]) == 3
+            assert not (tmp_path / "r.json").exists()
 
     def test_removed_step_flags_exit_2(self, instance_file, tmp_path):
         for flag in ("--gamma", "--alpha", "--delta", "--epsilon"):
@@ -275,6 +283,102 @@ class TestSolve:
             run(["solve", "--in", str(instance_file), "--method", "simplex",
                  "--out", str(tmp_path / "r.json")])
         assert err.value.code == 2
+
+
+# the record fields `instance_from_json` reads, and values of each JSON type
+# that a mutation puts in one's place
+FIELDS = ["geometry", "n", "s", "xi", "seed", "y", "true_positions"]
+WRONG_TYPES = [None, True, "1", [1], {"a": 1}, 1.5, -1, 10**400,
+               float("nan")]
+FLAG_SETS = [["--method", "l1pgd"], ["--restarts", "0"], ["--max-iters", "0"]]
+
+
+def _valid_record(rng, geometry):
+    """A noise-free record of s random bins of n <= 12, s = n included."""
+    n = int(rng.integers(2, 13))
+    s = int(rng.choice([2, max(2, n // 2), n]))
+    bins = np.sort(rng.choice(n, s, replace=False))
+    x = np.zeros(n)
+    x[bins] = 1.0
+    return json.loads(instance_to_json(Instance(
+        geometry=geometry, n=n, s=s, y=LagOperator(n, geometry).forward(x),
+        true_positions=bins_to_positions(bins, n, geometry), noise_sigma=0.0,
+        seed=int(rng.integers(100)))))
+
+
+def _trade(rec, rng, mirrored):
+    """One count moved from a filled lag to another lag, and on the circle
+    from n-d to n-e too when mirrored."""
+    y, n = rec["y"], rec["n"]
+    d = int(rng.choice(np.flatnonzero(y)))
+    e = int(rng.integers(n - 1))
+    for a, b in [(d, e)] + [(n - 2 - d, n - 2 - e)] * mirrored:
+        y[a] -= 1
+        y[b] += 1
+
+
+def _mutate(rec, rng) -> str:
+    """The JSON text of rec after one seeded mutation."""
+    kind = int(rng.integers(9))
+    field = str(rng.choice(FIELDS))
+    y, pos = rec["y"], rec["true_positions"]
+    if kind == 0:  # a value of the wrong type
+        rec[field] = WRONG_TYPES[int(rng.integers(len(WRONG_TYPES)))]
+    elif kind == 1:  # a missing field
+        del rec[field]
+    elif kind == 2:  # a list one longer, one shorter or empty
+        v = rec[str(rng.choice(["y", "true_positions"]))]
+        [lambda: v.append(v[0]), v.pop, v.clear][int(rng.integers(3))]()
+    elif kind == 3:  # a negative, huge, non-finite or fractional count
+        bad = [-1, 10**30, 1e308, 10**400, float("nan"), float("inf"), 0.5]
+        y[int(rng.integers(len(y)))] = bad[int(rng.integers(len(bad)))]
+    elif kind == 4:  # counts traded at one lag only: no beltway symmetry
+        _trade(rec, rng, mirrored=False)
+    elif kind == 5:  # counts traded at both lags: symmetric, but not the
+        _trade(rec, rng, mirrored=True)  # true positions' own
+    elif kind == 6:  # noise, where counts need not be the positions' own
+        rec["xi"] = float(rng.choice([1e-3, 0.05, 1e300]))
+    elif kind == 7:  # n or s off by one, or the other geometry
+        other = {"turnpike": "beltway", "beltway": "turnpike"}
+        [lambda: rec.update(n=rec["n"] + 1),
+         lambda: rec.update(s=rec["s"] - 1),
+         lambda: rec.update(geometry=other[rec["geometry"]])
+         ][int(rng.integers(3))]()
+    else:  # a position shared, off the unit range or NaN
+        pos[0] = [pos[-1], -0.1, 1.5, float("nan")][int(rng.integers(4))]
+    return json.dumps(rec)
+
+
+class TestMutatedRecords:
+    RUNS = 336
+
+    def test_solve_exits_0_or_3_and_cleans_up(self, tmp_path, capsys):
+        """`udgp solve` on seeded mutations of small valid records, each with
+        one flag set: every run exits 0 with a record, or 3 with a message
+        on stderr and no output file; nothing else escapes.  Unwritable
+        outputs are a path in a missing directory and a directory."""
+        rng = np.random.default_rng(13)
+        src = tmp_path / "inst.json"
+        codes = []
+        for k in range(self.RUNS):
+            rec = _valid_record(rng, list(Geometry)[k % 2])
+            text = _mutate(rec, rng) if k % 8 else json.dumps(rec)
+            src.write_text(text)
+            out = [tmp_path / "r.json", tmp_path / "missing" / "r.json",
+                   tmp_path][0 if k % 16 else int(rng.integers(1, 3))]
+            flags = FLAG_SETS[k % 3]
+            code = run(["solve", "--in", str(src), *flags, "--out", str(out)])
+            err = capsys.readouterr().err
+            case = f"run {k}: {flags} {text} -> {out}"
+            assert code in (0, 3), case
+            if code == 0:
+                assert json.loads(out.read_text())["s"] == rec["s"], case
+                out.unlink()
+            else:
+                assert err and not out.is_file(), case
+            codes.append(code)
+        assert codes.count(0) > self.RUNS // 10
+        assert codes.count(3) > self.RUNS // 2
 
 
 class TestBench:

@@ -357,6 +357,14 @@ class TestSerialization:
             rec["y"][0] += amount
             rec["y"][rec["y"].index(max(rec["y"]))] -= amount
 
+        def trade(rec):  # one count from the fullest lag d to the first
+            y = rec["y"]  # empty lag e, and from n-d to n-e on the circle
+            d, e = y.index(max(y)), y.index(0)
+            for a, b in [(d, e)] + [(62 - d, 62 - e)] * (
+                    rec["geometry"] == "beltway"):
+                y[a] -= 1
+                y[b] += 1
+
         edits = [
             lambda rec: rec.update(n=65),                   # y length
             lambda rec: resize(rec, 1),                     # too few points
@@ -364,6 +372,7 @@ class TestSerialization:
             lambda rec: move(rec, -1 - rec["y"][0]),        # negative count
             lambda rec: move(rec, 0.5),                     # fractional count
             lambda rec: rec["y"].__setitem__(0, rec["y"][0] + 1),  # mass != pairs
+            trade,                                          # not the positions' counts
             lambda rec: rec["true_positions"].__setitem__(1, rec["true_positions"][0]),
             lambda rec: rec["true_positions"].__setitem__(0, float("nan")),
             lambda rec: rec["true_positions"].__setitem__(0, -0.25),
