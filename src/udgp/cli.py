@@ -144,8 +144,8 @@ def cmd_solve(args) -> int:
     except ValueError as err:
         print(f"udgp solve: {err}", file=sys.stderr)
         return 2
-    open(args.out, "w").close()  # an unwritable --out fails before the solve
-    args.created = [args.out]  # which `main` removes if the run fails
+    args.created = []  # which `main` removes if the run fails
+    _probe(args.out, args.created)  # an unwritable --out fails before the solve
     rec = _solve_and_score(instance, config, args.method)
     record = {"method": args.method, "geometry": instance.geometry.value,
               "n": instance.n, "s": instance.s, "xi": instance.noise_sigma,
@@ -225,8 +225,7 @@ def cmd_bench(args) -> int:
     # `main` removes the files this run created if it fails
     args.created = []
     for path in (args.out, args.out + ".trials.csv"):
-        open(path, "w").close()
-        args.created.append(path)
+        _probe(path, args.created)
 
     trial_rows = []
     mean_rows = []
@@ -267,6 +266,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _probe(path: str, created: list[str]) -> None:
+    """Open path for appending, which leaves an existing file as it was,
+    and list it in created if this made it."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        created.append(path)
+
+
 def _config_comments(args, config: SolverConfig, methods) -> list[str]:
     return [
         f"# udgp bench v{__version__}",
@@ -301,7 +309,7 @@ def main(argv=None) -> int:
         print(f"udgp: i/o failure: {err}", file=sys.stderr)
         code = 3
     for path in getattr(args, "created", ()):
-        os.remove(path)  # leave no empty output behind
+        os.remove(path)  # leave no output behind that the run made
     return code
 
 

@@ -50,9 +50,9 @@ _WINDOW_PER_CALL = 1 << 16
 _BLOCK_ENTRIES = 1 << 17
 
 # Index data of one ascending support S: its bytes, the window gradient's row
-# starts, the mask of bins off S and, if the forward map enumerates S's pairs,
-# each pair's two bins and bincount bin lag - 1 (and n - lag - 1 on a circle).
-_Plan = collections.namedtuple("_Plan", "key starts off pairs")
+# starts and, if the forward map enumerates S's pairs, each pair's two bins
+# and bincount bin lag - 1 (and n - lag - 1 on a circle).
+_Plan = collections.namedtuple("_Plan", "key starts pairs")
 _workspace = threading.local()  # per thread: the window lag row at the last n
 
 
@@ -234,8 +234,7 @@ class LagOperator:
         plan = self.__dict__.get("_plan_memo")
         if plan is not None and plan.key == support.tobytes():
             return plan
-        off, pairs = np.ones(self.n, dtype=bool), None
-        off[support] = False
+        pairs = None
         if self._pairs(support):
             i, j = _pair_indices(support.size)
             first, second = support[i], support[j]
@@ -245,6 +244,6 @@ class LagOperator:
                 first, second = np.tile(first, 2), np.tile(second, 2)
             pairs = first, second, bins
         plan = _Plan(support.tobytes(), (self.n - (not self.circular)) - support,
-                     off, pairs)
+                     pairs)
         self.__dict__["_plan_memo"] = plan  # as cached_property sets it
         return plan

@@ -17,8 +17,8 @@ from an iterate x with support S: a try whose projection provably keeps
 S, or that no bin off S enters, is formed from S's entries and the best
 entrant's without the full projection, and equals it bit for bit.  A
 kept capped-simplex try takes each clipped sum in one n-length pass and
-first checks the bracket its thread settled last, so most cost O(|S|)
-work plus two such sums.
+first checks the bracket around the multiplier its thread's last kept
+try settled, so most cost O(|S| log |S|) work plus two such sums.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-_memo = threading.local()  # per thread: the last kept try's bracket, on S
+_memo = threading.local()  # per thread: the last kept try's multiplier
 
 
 def project_sparse_box(z, s: int) -> np.ndarray:
@@ -211,11 +211,12 @@ def capped_simplex_kept(x, grad, support, g_b, s: int):
     and zero off it; its support is the bins of S that stay positive.
 
     A try works on t, z on S, alone.  Each clipped sum is `_kept_sum`'s
-    one pass, and the bracket is the last kept try's, if this thread
-    settled one and it checks out at t (`_hinted`), and otherwise
-    `_settle`'s; either way it is the bisection's.  Each value is computed
-    by the same floating-point operations as through
-    `project_capped_simplex`, so the two agree bit for bit.
+    one pass, and the bracket is the one around the last kept try's
+    multiplier, if this thread settled one and the bracket checks out at
+    t (`_hinted`), and otherwise `_settle`'s; either way it is the
+    bisection's.  Each value is computed by the same floating-point
+    operations as through `project_capped_simplex`, so the two agree bit
+    for bit.
     """
     x_s, g_s, n = x[support], grad[support], x.size
 
@@ -225,15 +226,11 @@ def capped_simplex_kept(x, grad, support, g_b, s: int):
         c = -z_b
         x_next = np.zeros(n)  # zero off S, where every lam tried is <= c
         cap_sum = partial(_kept_sum, x_next, support, t)
-        u = -t
-        bps = np.concatenate([u, u + 1.0])  # S's -t_j, then 1 - t_j
-        bracket = _hinted(getattr(_memo, "names", None), bps, c, s, cap_sum)
+        bracket = (_hinted(getattr(_memo, "lam", None), t, c, s, cap_sum)
+                   or _settle(cap_sum, s, t, c))
         if bracket is None:
-            bracket = _settle(cap_sum, s, t, c)
-            if bracket is None:
-                return None
-            _memo.names = _name(bracket[0], bps, c), _name(bracket[2], bps, c)
-        lam = _interpolate(bracket, s)
+            return None
+        lam = _memo.lam = _interpolate(bracket, s)
         if z_b + lam > 0.0:
             return None
         # no z on S is -0.0, so neither is t + lam, and min(max(.))
@@ -268,44 +265,28 @@ def _kept_sum(buf, support, t, lam: float) -> float:
     return float(buf.sum())
 
 
-def _hinted(names, bps, c: float, s: int, cap_sum) -> tuple | None:
-    """The bracket (b_lo, s_lo, b_hi, s_hi) that names, this thread's last
-    kept bracket, gives at S's breakpoints bps and c, if it is the
-    bisection's; otherwise None.
+def _hinted(lam, t, c: float, s: int, cap_sum) -> tuple | None:
+    """The bracket (b_lo, s_lo, b_hi, s_hi) around lam, this thread's last
+    kept multiplier, among the breakpoints of t, z on S, and c, if it is
+    the bisection's; otherwise None.
 
-    Each name is (j, end), breakpoint -t_j of S's entry j, or 1 - t_j if
-    end, or None for c.  The two are the bisection's bracket exactly when
-    b_lo < b_hi <= c, no breakpoint lies strictly between them, and
-    cap_sum(b_lo) < s <= cap_sum(b_hi): they are then consecutive among
-    S's breakpoints below c, then c, and b_hi is the first of them whose
-    sum reaches s.  A name from a support with more entries may fall
-    outside S.
+    b_lo is the last of the sorted breakpoints -t_j and 1 - t_j at most
+    lam, and b_hi the next one or c, whichever is less, so when lam < c
+    they are consecutive among S's breakpoints below c, then c.  They are
+    the bisection's bracket exactly when cap_sum(b_lo) < s <=
+    cap_sum(b_hi): b_hi is then the first of those whose sum reaches s.
     """
-    if names is None:
+    if lam is None or lam >= c:
         return None
-    k, ends = bps.size // 2, []
-    for name in names:
-        if name is None:
-            ends.append(c)
-        elif name[0] < k:
-            ends.append(bps[name[0] + k * name[1]])
-        else:
-            return None
-    b_lo, b_hi = ends
-    if not b_lo < b_hi <= c or np.count_nonzero((bps > b_lo)
-                                                & (bps < b_hi)):
+    u = -t
+    bps = np.concatenate([u, u + 1.0])  # as `_settle` forms them
+    bps.sort()
+    i = int(bps.searchsorted(lam, "right"))
+    if i == 0:
         return None
+    b_lo, b_hi = bps[i - 1], min(bps[i], c) if i < bps.size else c
     s_lo = cap_sum(b_lo)
     if s_lo >= s:
         return None
     s_hi = cap_sum(b_hi)
     return (b_lo, s_lo, b_hi, s_hi) if s_hi >= s else None
-
-
-def _name(b, bps, c: float) -> tuple[int, bool] | None:
-    """The name `_hinted` reads b back from: None if b is c, else (j, end)
-    of the first of S's breakpoints bps equal to b."""
-    if b == c:
-        return None
-    end, j = divmod(int(np.flatnonzero(bps == b)[0]), bps.size // 2)
-    return j, bool(end)

@@ -167,20 +167,17 @@ def armijo_step(x, grad, f_x, instance, project, tau0, support=None) -> Step:
     handed the least grad off S, found once per step.  A try it forms is
     evaluated on its support alone (`LagOperator._evaluate`); a try it
     declines takes the general path, and the Step is the same bit for bit
-    either way.  The mask of bins off S comes from the operator's plan of
-    S (`LagOperator._plan`), which the gradient at x and the formed
-    tries' evaluations share.
+    either way.
     """
     op, y = instance.op, instance.y
     func = getattr(project, "func", None)
     kept = (sparse_box_kept if func is project_sparse_box
             else capped_simplex_kept if func is project_capped_simplex
             else None)
-    if (kept and support is not None and 0 < support.size < x.size
-            and "s" in project.keywords):
-        g_b = np.minimum.reduce(grad, where=op._plan(support).off,
-                                initial=np.inf)
-        kept = kept(x, grad, support, g_b, project.keywords["s"])
+    if kept and support is not None and 0 < support.size < x.size:
+        rest = grad.copy()
+        rest[support] = np.inf
+        kept = kept(x, grad, support, rest.min(), project.keywords["s"])
     else:
         kept = None
     for t in range(_MAX_BACKTRACKS + 1):

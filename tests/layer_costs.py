@@ -57,9 +57,9 @@ gradient from the carried residual, then the step handed the support.
 Each call after the first finds the support's `_plan` kept.  On the
 `simplex` rows, try_us times one kept try alone, the function of tau
 that `capped_simplex_kept` returns, called at _GAMMA after a first call
-has left its bracket in the thread's memo, as the next step's try finds
-it; sums counts the clipped sums (`_kept_sum`) that one such try takes,
-2 when the memo's bracket checks out.  `box` rows print - in both.  A
+has left its multiplier in the thread's memo, as the next step's try
+finds it; sums counts the clipped sums (`_kept_sum`) that one such try
+takes, 2 when the bracket around the memo's multiplier checks out.  `box` rows print - in both.  A
 row reads DIFFERS when the two calls return Steps that differ in any
 field.
 
@@ -199,10 +199,10 @@ def armijo_rows(calls: int):
         whole = median_us(iteration, calls)
         kept = "       -    -"
         if kind == "simplex":
-            g_b = np.minimum.reduce(grad, where=inst.op._plan(support).off,
-                                    initial=np.inf)
+            rest = grad.copy()
+            rest[support] = np.inf
             tried = partial(projections.capped_simplex_kept(
-                x, grad, support, g_b, s), solver._GAMMA)
+                x, grad, support, rest.min(), s), solver._GAMMA)
             try_us = median_us(tried, calls)
             kept = (f"{try_us:8.1f} "
                     f"{calls_of(projections, '_kept_sum', tried):4d}")

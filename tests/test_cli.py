@@ -253,17 +253,28 @@ class TestSolve:
         assert exit_code("solve", "--in", str(tmp_path / "missing.json"),
                          "--out", str(tmp_path / "r.json")) == 3
 
-    def test_numeric_failure_exits_4(self, instance_file, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new outputs", "existing outputs"])
+    def test_numeric_failure_exits_4(self, instance_file, tmp_path,
+                                     monkeypatch, existing):
+        """A solve or bench run that exits 4 removes the outputs it
+        created, so none is left behind empty, and leaves outputs that
+        existed before it as they were."""
         def fail(*args, **kwargs):
             raise NumericError("objective became non-finite", np.zeros(40))
 
         monkeypatch.setattr("udgp.cli.multi_start", fail)
+        kept = {tmp_path / "r.json": '{"earlier": "answer"}\n',
+                tmp_path / "b.csv": "geometry,s,n\nturnpike,4,40\n"
+                } if existing else {}
+        for path, text in kept.items():
+            path.write_text(text)
         assert run(["solve", "--in", str(instance_file),
                     "--out", str(tmp_path / "r.json")]) == 4
-        # the outputs created before the solve are removed, not left empty
         assert run(["bench", "--geometry", "turnpike", "--s", "4", "--n", "40",
                     "--trials", "1", "--out", str(tmp_path / "b.csv")]) == 4
-        assert list(tmp_path.iterdir()) == [instance_file]
+        assert {path: path.read_text() for path in kept} == kept
+        assert sorted(tmp_path.iterdir()) == sorted([instance_file, *kept])
 
     def test_out_in_missing_directory_exits_3(self, instance_file, tmp_path,
                                               monkeypatch):

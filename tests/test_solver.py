@@ -269,8 +269,8 @@ def _assert_matches_bisection(got, x, grad, f_x, inst, s, tau0):
 
 def _spy_brackets(monkeypatch):
     """Record each bracket search of a kept capped-simplex try: True for a
-    bracket `projections._hinted` took from the memo, False for each
-    `projections._settle` sweep of a kept try."""
+    bracket `projections._hinted` found around the memo's multiplier,
+    False for each `projections._settle` sweep of a kept try."""
     found = []
     hinted, settle = projections._hinted, projections._settle
 
@@ -295,10 +295,11 @@ class TestSupportKeptSimplexStep:
     x's support S enters among S's breakpoints and the best entrant's; its
     Step is the one the general path and the bisection reference return,
     bit for bit, and every try it cannot settle that way falls back to
-    the general path.  A kept try first checks the bracket of the last
-    kept try its thread settled, named on that try's support, and takes
-    it only when it is the bisection's at the new try; any other hint
-    falls back to `_settle`'s sweep, whose bracket the memo then keeps."""
+    the general path.  A kept try first checks the bracket around the
+    multiplier of the last kept try its thread settled, and takes it only
+    when it is the bisection's at the new try; otherwise it falls back to
+    `_settle`'s sweep.  Either way the memo then keeps the try's
+    multiplier."""
 
     @pytest.mark.parametrize("geom", list(Geometry))
     def test_matches_the_general_path_on_random_iterates(self, geom,
@@ -427,8 +428,8 @@ class TestSupportKeptSimplexStep:
     def test_consecutive_descent_steps_reuse_the_bracket(self, geom,
                                                          monkeypatch):
         """Along 400 steps of the baseline's final descent, most kept tries
-        take the memo's bracket, and every step is the bisection
-        reference's."""
+        take the bracket around the memo's multiplier, and every step is
+        the bisection reference's."""
         inst = generate_instance(geom, 10, 1000, 0.0, 90000)
         project = partial(project_capped_simplex, s=inst.s)
         x0 = project(_grown_start(inst))
@@ -452,35 +453,34 @@ class TestSupportKeptSimplexStep:
         assert len(found) >= sum(short for _, short, _ in steps) > 300
         assert sum(found) >= 0.75 * len(found) and not all(found)
 
-    @pytest.mark.parametrize("grad_s, names, hit", [
-        pytest.param((-0.3, -0.1, 0.2), ((2, False), (0, True)), True,
-                     id="the last bracket"),
-        pytest.param((-0.3, -0.1, 0.2), ((1, False), (0, True)), False,
-                     id="a breakpoint inside"),
-        pytest.param((-0.3, -0.1, 0.2), ((0, True), (1, True)), False,
+    @pytest.mark.parametrize("grad_s, lam, hit", [
+        pytest.param((-0.3, -0.1, 0.2), 0.0, True,
+                     id="inside the bracket"),
+        pytest.param((-0.3, -0.1, 0.2), -0.5, False,
+                     id="one breakpoint below"),
+        pytest.param((-0.3, -0.1, 0.2), 0.3, False,
                      id="both sums reach s"),
-        pytest.param((-0.3, -0.1, 0.2), ((2, False), None), False,
-                     id="c above breakpoints"),
-        pytest.param((-0.3, -0.1, 0.2), ((25, False), (3, True)), False,
-                     id="entries outside S"),
-        pytest.param((-0.3, -0.1, -0.1), ((1, False), (2, False)), False,
-                     id="tied breakpoints"),
-        pytest.param((-0.3, -0.1, -0.1), ((2, False), (0, True)), True,
-                     id="the tie's twin")])
-    def test_hints(self, grad_s, names, hit, monkeypatch):
+        pytest.param((-0.3, -0.1, 0.2), 1.0, False, id="at c"),
+        pytest.param((-0.3, -0.1, 0.2), 2.5, False, id="above c"),
+        pytest.param((-0.3, -0.1, 0.2), -0.9, False,
+                     id="below every breakpoint"),
+        pytest.param((-0.3, -0.1, -0.1), -0.6, True,
+                     id="at tied breakpoints")])
+    def test_hints(self, grad_s, lam, hit, monkeypatch):
         """At tau = 1 from x = 0.5 on bins 5, 10 and 15, with grad 1 off
         them (c = 1) and s = 2: with grad (-0.3, -0.1, 0.2) on them,
         t = (0.8, 0.6, 0.3), and the sums at the sorted breakpoints -0.8,
         -0.6, -0.3, 0.2, 0.4 and 0.7 are 0, 0.2, 0.8, 2.3, 2.7 and 3, so
-        the bracket is -t_2 and 1 - t_0.  A hint across -0.3, one above
-        the bracket, or one up to c holds a breakpoint or has both sums
-        at least s, and would interpolate another multiplier; a hint
-        named on a 30-bin support reaches past S's entries.  With grad
-        (-0.3, -0.1, -0.1), t_1 = t_2 = 0.6 tie, and a hint between them
-        is empty, while either names the bracket's lower end."""
+        the bracket is (-0.3, 0.2).  A multiplier in it is taken; one a
+        breakpoint below or above it brackets sums that both miss or both
+        reach s, and one at or past c, or below every breakpoint, brackets
+        nothing.  With grad (-0.3, -0.1, -0.1), t_1 = t_2 = 0.6 tie, and a
+        multiplier at -0.6 takes the second of the tied breakpoints and
+        0.2: the bracket (-0.6, 0.2).  Either way the memo then holds the
+        step's multiplier, the bisection's."""
         found = _spy_brackets(monkeypatch)
         steps = _spy_tries(monkeypatch)
-        monkeypatch.setattr(projections._memo, "names", names, raising=False)
+        monkeypatch.setattr(projections._memo, "lam", lam, raising=False)
         inst = small_instance(s=3, n=20)
         x, grad = np.zeros(20), np.ones(20)
         x[[5, 10, 15]] = 0.5
@@ -492,54 +492,75 @@ class TestSupportKeptSimplexStep:
         _assert_same_step(got, solver.armijo_step(x, grad, 1e6, inst, project,
                                                   1.0))
         _assert_matches_bisection(got, x, grad, 1e6, inst, 2, 1.0)
-        lower = (1, False) if grad_s[2] < 0 else (2, False)
-        assert projections._memo.names == (names if hit
-                                           else (lower, (0, True)))
+        assert projections._memo.lam == capped_simplex_bisection(x - grad,
+                                                                 2)[1]
 
-    def test_bracket_at_c_is_reused(self, monkeypatch):
-        """The forced try whose multiplier is the best entrant's
-        breakpoint c keeps its bracket's upper end as c, and the same
-        try again takes that bracket from the memo."""
+    @pytest.mark.parametrize("grad_s, g_b, hits, support", [
+        pytest.param([-0.4, -0.2, 0.0], 0.05, [False, True], [5, 10, 15],
+                     id="multiplier below c"),
+        pytest.param([-0.25, -0.25, 0.75], 0.25, [False, False], [5, 10],
+                     id="multiplier at c")])
+    def test_bracket_at_c(self, grad_s, g_b, hits, support, monkeypatch):
+        """Forced tries whose bracket ends at the best entrant's breakpoint
+        c, bin 2's, repeated.  With t = (0.9, 0.7, 0.5) on bins 5, 10 and
+        15 and c = 0.05, the sums at -0.5 and c are 0.6 and 2.25, no
+        breakpoint of S lies between them, and the multiplier, inside,
+        brings the same try again back to the bracket (-0.5, c).  With
+        t = (0.75, 0.75, -0.25) and c = 0.25 the sum at c is s = 2, so the
+        multiplier is c, which brackets nothing, and the same try again
+        settles anew."""
         found = _spy_brackets(monkeypatch)
         inst = small_instance(s=3, n=20)
         x, grad = np.zeros(20), np.ones(20)
         x[[5, 10, 15]] = 0.5
-        grad[[5, 10, 15, 2]] = [-0.25, -0.25, 0.75, 0.25]
+        grad[[5, 10, 15, 2]] = [*grad_s, g_b]
         project = partial(project_capped_simplex, s=2)
-        monkeypatch.delattr(projections._memo, "names", raising=False)
+        monkeypatch.delattr(projections._memo, "lam", raising=False)
         first, again = (solver.armijo_step(x, grad, 1e6, inst, project, 1.0,
                                            np.flatnonzero(x))
                         for _ in range(2))
-        assert found == [False, True] and projections._memo.names[1] is None
+        assert found == hits
         _assert_same_step(again, first)
         _assert_matches_bisection(again, x, grad, 1e6, inst, 2, 1.0)
+        np.testing.assert_array_equal(again.support, support)
+        assert projections._memo.lam == capped_simplex_bisection(x - grad,
+                                                                 2)[1]
 
-    def test_hint_from_another_support(self, monkeypatch):
-        """A try on bins 3, 8 and 12 with t = (0.3, 0.8, 0.6) leaves
-        (-t_0, 1 - t_1) in the memo; on bins 5, 10 and 15 with
-        t = (0.8, 0.6, 0.3) those name -0.8 and 0.4, across three
-        breakpoints, and the try falls back."""
+    @pytest.mark.parametrize("bins, grad_s, hit", [
+        pytest.param([3, 8, 12], [0.2, -0.3, -0.1], True,
+                     id="the same entries on other bins"),
+        pytest.param([1, 3, 8, 12], [0.3] * 4, False,
+                     id="four bins at 0.2")])
+    def test_hint_from_another_support(self, bins, grad_s, hit,
+                                       monkeypatch):
+        """A kept try on other bins leaves its multiplier in the memo, and
+        a try on bins 5, 10 and 15 with t = (0.8, 0.6, 0.3) checks it
+        against its own bracket, (-0.3, 0.2).  t = (0.3, 0.8, 0.6) on bins
+        3, 8 and 12 has the same breakpoints and multiplier, which is
+        taken; t = 0.2 on four bins has breakpoints -0.2 and 0.8 only, and
+        its multiplier 0.3 lies past the bracket."""
         found = _spy_brackets(monkeypatch)
         inst = small_instance(s=3, n=20)
         project = partial(project_capped_simplex, s=2)
-        for bins, grad_s in (([3, 8, 12], [0.2, -0.3, -0.1]),
-                             ([5, 10, 15], [-0.3, -0.1, 0.2])):
+        monkeypatch.delattr(projections._memo, "lam", raising=False)
+        for on, g_s in ((bins, grad_s), ([5, 10, 15], [-0.3, -0.1, 0.2])):
             x, grad = np.zeros(20), np.ones(20)
-            x[bins] = 0.5
-            grad[bins] = grad_s
+            x[on] = 0.5
+            grad[on] = g_s
             got = solver.armijo_step(x, grad, 1e6, inst, project, 1.0,
                                      np.flatnonzero(x))
             _assert_matches_bisection(got, x, grad, 1e6, inst, 2, 1.0)
-        assert found[-1] is False
-        assert projections._memo.names == ((2, False), (0, True))
+        assert found == [False, hit]
+        assert projections._memo.lam == capped_simplex_bisection(x - grad,
+                                                                 2)[1]
 
     def test_threads_alternating_supports_get_the_serial_steps(
             self, monkeypatch):
         """Steps of two final descents on one instance, taken by four
         threads, more than a small machine's cores: two follow one descent
         each, whose memo the next step reuses, and two alternate between
-        the descents, so every step meets the other support's bracket and
-        the operator's plan of the other support."""
+        the descents, so every step meets the other descent's multiplier
+        and the operator's plan of the other support."""
         inst = generate_instance(Geometry.TURNPIKE, 10, 1000, 0.0, 90000)
         project = partial(project_capped_simplex, s=inst.s)
         states = []
@@ -592,6 +613,45 @@ class TestSupportKeptSimplexStep:
                 for step_got, step_want in zip(round_, want, strict=True):
                     _assert_same_step(step_got, step_want)
 
+
+@pytest.mark.parametrize("enters", [False, True])
+@pytest.mark.parametrize("support, entrants", [
+    pytest.param([b for b in range(20) if b != 7], [7], id="n - 1 bins"),
+    pytest.param([0, 5, 10, 19], [9], id="both ends"),
+    pytest.param([5, 10, 15], [0, 19], id="tied minima")])
+@pytest.mark.parametrize("func", [project_sparse_box, project_capped_simplex])
+def test_best_entrant_at_the_edges(func, support, entrants, enters,
+                                   monkeypatch):
+    """On either set, `armijo_step` finds the least grad off S wherever
+    its bins sit: S holding all bins but one, S holding bins 0 and n - 1,
+    or two bins at the grid's ends tied at the least grad.  x lies in
+    [0.3, 0.7] on S, with grad within 0.01 of 0 there and 0.5 off S, save
+    the entrants.  At tau = 1 an entrant at grad 0.2 stays at 0 and the
+    try is kept; one at grad -0.9 enters both sets, its gain 0.81 beating
+    every gain on S and the multiplier past -0.9, and the try falls back.
+    The Step is the general path's and the reference's bit for bit."""
+    steps = _spy_tries(monkeypatch)
+    inst = small_instance(s=3, n=20)
+    rng = np.random.default_rng(len(support))
+    x, grad = np.zeros(20), np.full(20, 0.5)
+    x[support] = rng.uniform(0.3, 0.7, len(support))
+    grad[support] = rng.uniform(-0.01, 0.01, len(support))
+    grad[entrants] = -0.9 if enters else 0.2
+    s = len(support) if func is project_sparse_box else len(support) // 2
+    project = partial(func, s=s)
+    got = solver.armijo_step(x, grad, 1e6, inst, project, 1.0,
+                             np.flatnonzero(x))
+    assert steps[0] == ((True, 0, 1) if enters else (True, 1, 0))
+    _assert_same_step(got, solver.armijo_step(x, grad, 1e6, inst, project,
+                                              1.0))
+    reference = (project_sparse_box_two_scan if func is project_sparse_box
+                 else simplex_bisection)
+    x_ref, f_ref, tau, t = armijo_step_reference(
+        x, grad, 1e6, inst, partial(reference, s=s), 1.0)
+    assert got.x.tobytes() == x_ref.tobytes()
+    assert (got.f, got.tau, got.t) == (f_ref, tau, t) and t == 0
+    assert set(entrants) & set(got.support.tolist()) == (
+        set(entrants) if enters else set())
 
 
 def _dense_start(n, s):
